@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"example.com/scar/internal/costdb"
@@ -175,7 +176,7 @@ func TestProvisionExhaustive(t *testing.T) {
 	}
 	// First option is the rule-based allocation.
 	rule, _ := provisionRule([]float64{1, 1}, []int{10, 10}, 4, 0)
-	if fmtAlloc(opts[0]) != fmtAlloc(rule) {
+	if !slices.Equal(opts[0], rule) {
 		t.Errorf("first option %v != rule %v", opts[0], rule)
 	}
 	for _, o := range opts[1:] {
@@ -228,8 +229,7 @@ func TestSegmentCandidatesSortedAndValid(t *testing.T) {
 		workload.GEMM("l4", 64, 512, 512),
 	})
 	sc := workload.NewScenario("s", model)
-	expLat := expectedLatencies(db, &sc, pkg)
-	expE := expectedEnergies(db, &sc, pkg)
+	expLat, expE := db.ExpectedLayers(&sc, pkg)
 	rng := rand.New(rand.NewSource(7))
 	cands := segmentCandidates(model, layerRange{0, 4}, 3, expLat[0], expE[0], pkg, EDPObjective(), DefaultOptions(), rng)
 	if len(cands) == 0 {
@@ -297,7 +297,7 @@ func TestRootTuplesInjectiveAndCapped(t *testing.T) {
 			}
 			inTuple[c] = true
 		}
-		k := fmtAlloc(tp)
+		k := string(appendIntsKey(nil, tp))
 		if seen[k] {
 			t.Fatalf("duplicate tuple %v", tp)
 		}
@@ -358,14 +358,15 @@ func TestTreeSearchRespectsAdjacencyAndExclusivity(t *testing.T) {
 		workload.GEMM("b1", 64, 512, 512),
 	})
 	sc := workload.NewScenario("s", a, b)
-	ev := evalNew(db, pkg, &sc)
+	comp := evalNew(db, pkg, &sc).Compile()
+	scratch := comp.NewScratch()
 	plans := []modelPlan{
 		{model: 0, r: layerRange{0, 2}, ends: []int{0, 1, 2}}, // 3 segments
 		{model: 1, r: layerRange{0, 1}, ends: []int{0, 1}},    // 2 segments
 	}
 	rng := rand.New(rand.NewSource(5))
-	evalWin := func(segs []eval.Segment) eval.WindowMetrics {
-		return ev.Window(eval.TimeWindow{Segments: segs})
+	evalWin := func(segs []eval.Segment) eval.WindowEval {
+		return comp.WindowEval(scratch, eval.TimeWindow{Segments: segs})
 	}
 	res := treeSearch(evalWin, pkg.AdjacencyMatrix(), pkg.NumChiplets(), plans, EDPObjective(), 30, 500, rng, false, nil)
 	if !res.found {

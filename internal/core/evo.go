@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"example.com/scar/internal/eval"
 	"example.com/scar/internal/search"
@@ -30,17 +31,19 @@ const (
 type evoGenome struct {
 	active []int        // model indices
 	ranges []layerRange // per active model
-	allocs []int        // nodes per active model
 	bounds []search.IntRange
 	// cutsAt[i] is the gene offset of model i's cut genes; rootAt[i]
 	// and seedAt[i] locate its mapping genes.
 	cutsAt []int
 	rootAt []int
 	seedAt []int
+	// order lists the active models by descending allocation (stable),
+	// the order decode maps them in.
+	order []int
 }
 
 func buildEvoGenome(active []int, ranges []layerRange, allocs []int, chiplets int) evoGenome {
-	g := evoGenome{active: active, ranges: ranges, allocs: allocs}
+	g := evoGenome{active: active, ranges: ranges}
 	for i := range active {
 		l := ranges[i].numLayers()
 		nCuts := allocs[i] - 1
@@ -58,7 +61,11 @@ func buildEvoGenome(active []int, ranges []layerRange, allocs []int, chiplets in
 		g.bounds = append(g.bounds, search.IntRange{Min: 0, Max: chiplets - 1})
 		g.seedAt = append(g.seedAt, len(g.bounds))
 		g.bounds = append(g.bounds, search.IntRange{Min: 0, Max: 255})
+		g.order = append(g.order, i)
 	}
+	// Constrained subtrees claim chiplets first, mirroring the tree
+	// search.
+	slices.SortStableFunc(g.order, func(a, b int) int { return cmp.Compare(allocs[b], allocs[a]) })
 	return g
 }
 
@@ -67,32 +74,19 @@ func buildEvoGenome(active []int, ranges []layerRange, allocs []int, chiplets in
 func (g evoGenome) decode(genes []int, m intGraph) ([]eval.Segment, bool) {
 	used := make([]bool, m.n)
 	var segs []eval.Segment
-	// Assign models in descending allocation order so constrained
-	// subtrees claim chiplets first, mirroring the tree search.
-	order := make([]int, len(g.active))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return g.allocs[order[a]] > g.allocs[order[b]] })
-
-	for _, i := range order {
+	var ends []int
+	for _, i := range g.order {
 		l := g.ranges[i].numLayers()
-		nCuts := g.rootAt[i] - g.cutsAt[i]
-		cutSet := map[int]bool{}
-		for c := 0; c < nCuts; c++ {
-			// Cuts at or past the last layer are dropped here rather
-			// than after collection, so the map range below is the
-			// bare collect-then-sort idiom (order-insensitive).
-			if v := genes[g.cutsAt[i]+c]; v < l-1 {
-				cutSet[v] = true
+		// Cuts at or past the last layer are dropped and duplicate cuts
+		// collapse: the segment ends are the sorted distinct cuts.
+		ends = ends[:0]
+		for _, v := range genes[g.cutsAt[i]:g.rootAt[i]] {
+			if v < l-1 {
+				ends = append(ends, v)
 			}
 		}
-		ends := make([]int, 0, len(cutSet)+1)
-		for c := range cutSet {
-			ends = append(ends, c)
-		}
-		sort.Ints(ends)
-		ends = append(ends, l-1)
+		slices.Sort(ends)
+		ends = append(slices.Compact(ends), l-1)
 
 		root := genes[g.rootAt[i]]
 		seed := genes[g.seedAt[i]]
@@ -100,11 +94,11 @@ func (g evoGenome) decode(genes []int, m intGraph) ([]eval.Segment, bool) {
 		if !ok {
 			return nil, false
 		}
-		for _, c := range path {
-			used[c] = true
-		}
 		plan := modelPlan{model: g.active[i], r: g.ranges[i], ends: ends}
-		segs = append(segs, plan.segmentsFor(path)...)
+		for q, c := range path {
+			used[c] = true
+			segs = append(segs, plan.segmentAt(q, c))
+		}
 	}
 	return segs, true
 }
@@ -117,19 +111,26 @@ type intGraph struct {
 
 // greedyPath walks the adjacency from root for length nodes, choosing at
 // each step the unused neighbor ranked by a seed-permuted preference;
-// ok=false on a dead end or occupied root.
+// ok=false on a dead end or occupied root. used is marked along the walk
+// and restored before returning.
 func greedyPath(m intGraph, root, length int, used []bool, seed int) ([]int, bool) {
 	if used[root] {
 		return nil, false
 	}
-	path := []int{root}
-	local := map[int]bool{root: true}
+	path := make([]int, 1, length)
+	path[0] = root
+	used[root] = true
+	defer func() {
+		for _, c := range path {
+			used[c] = false
+		}
+	}()
 	cur := root
 	for len(path) < length {
 		best := -1
 		bestKey := math.MaxInt64
 		for next := 0; next < m.n; next++ {
-			if !m.adj[cur][next] || used[next] || local[next] {
+			if !m.adj[cur][next] || used[next] {
 				continue
 			}
 			key := (next*131 + seed*31) % 251
@@ -142,7 +143,7 @@ func greedyPath(m intGraph, root, length int, used []bool, seed int) ([]int, boo
 			return nil, false
 		}
 		path = append(path, best)
-		local[best] = true
+		used[best] = true
 		cur = best
 	}
 	return path, true
@@ -187,8 +188,7 @@ func (s *Scheduler) searchWindowEvo(r *run, self int, w windowAssignment, seed i
 		if !ok {
 			return math.Inf(1)
 		}
-		wm := r.window(self, eval.TimeWindow{Segments: segs})
-		return r.obj.windowScore(wm)
+		return r.obj.windowScore(r.window(self, segs))
 	}
 	gaOpts := r.opts.Evo
 	gaOpts.Seed = mixSeed(seed, 3)

@@ -79,9 +79,9 @@ func (o Objective) proxy(latSec, energyPJ float64) float64 {
 	}
 }
 
-// windowScore reduces window metrics to the objective's value for
+// windowScore reduces a window evaluation to the objective's value for
 // per-window ranking.
-func (o Objective) windowScore(wm eval.WindowMetrics) float64 {
+func (o Objective) windowScore(wm eval.WindowEval) float64 {
 	return o.Score(eval.Metrics{
 		LatencySec: wm.LatencySec,
 		EnergyJ:    wm.EnergyJ,

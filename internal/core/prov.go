@@ -1,8 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file is the PROV engine (Section IV-B): it estimates how many
@@ -83,7 +84,8 @@ func provisionExhaustive(weights []float64, layers []int, chiplets, allocCap, ma
 		}
 	}
 	options := [][]int{rule}
-	seen := map[string]bool{fmtAlloc(rule): true}
+	seen := map[string]bool{string(appendIntsKey(nil, rule)): true}
+	var key []byte
 	var rec func(i, remaining int, cur []int)
 	rec = func(i, remaining int, cur []int) {
 		if len(options) >= maxOptions {
@@ -95,9 +97,9 @@ func provisionExhaustive(weights []float64, layers []int, chiplets, allocCap, ma
 		if i == n-1 {
 			if remaining >= 1 && remaining <= limit[i] {
 				cand := append(append([]int{}, cur...), remaining)
-				k := fmtAlloc(cand)
-				if !seen[k] {
-					seen[k] = true
+				key = appendIntsKey(key[:0], cand)
+				if !seen[string(key)] {
+					seen[string(key)] = true
 					options = append(options, cand)
 				}
 			}
@@ -121,9 +123,7 @@ func provisionExhaustive(weights []float64, layers []int, chiplets, allocCap, ma
 		target = s
 	}
 	rec(0, target, nil)
-	sort.SliceStable(options[1:], func(a, b int) bool {
-		return fmtAlloc(options[a+1]) < fmtAlloc(options[b+1])
-	})
+	slices.SortStableFunc(options[1:], slices.Compare)
 	return options, nil
 }
 
@@ -135,10 +135,11 @@ func sum(a []int) int {
 	return s
 }
 
-func fmtAlloc(a []int) string {
-	buf := make([]byte, len(a))
-	for i, v := range a {
-		buf[i] = byte(v)
+// appendIntsKey appends an exact fingerprint of a to dst and returns it:
+// eight bytes per value, so no two distinct vectors of one length alias.
+func appendIntsKey(dst []byte, a []int) []byte {
+	for _, v := range a {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 	}
-	return string(buf)
+	return dst
 }

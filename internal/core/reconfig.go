@@ -1,10 +1,6 @@
 package core
 
-import (
-	"example.com/scar/internal/costdb"
-	"example.com/scar/internal/mcm"
-	"example.com/scar/internal/workload"
-)
+import "example.com/scar/internal/workload"
 
 // This file is the MCM-Reconfig engine (Section IV-A): it characterizes
 // time windows from the expected (dataflow-composition-weighted) layer
@@ -33,33 +29,6 @@ type windowAssignment []layerRange // indexed by model
 type partitioning struct {
 	splits  int
 	windows []windowAssignment
-}
-
-// expectedLatencies precomputes E(Lat(l)) for every layer at the model's
-// batch size (Equation 1), used by packing and provisioning.
-func expectedLatencies(db *costdb.DB, sc *workload.Scenario, m *mcm.MCM) [][]float64 {
-	exp := make([][]float64, len(sc.Models))
-	for mi, model := range sc.Models {
-		exp[mi] = make([]float64, len(model.Layers))
-		for li, l := range model.Layers {
-			lat, _ := db.Expected(l.WithBatch(model.Batch), m)
-			exp[mi][li] = lat
-		}
-	}
-	return exp
-}
-
-// expectedEnergies is the energy analogue of expectedLatencies.
-func expectedEnergies(db *costdb.DB, sc *workload.Scenario, m *mcm.MCM) [][]float64 {
-	exp := make([][]float64, len(sc.Models))
-	for mi, model := range sc.Models {
-		exp[mi] = make([]float64, len(model.Layers))
-		for li, l := range model.Layers {
-			_, e := db.Expected(l.WithBatch(model.Batch), m)
-			exp[mi][li] = e
-		}
-	}
-	return exp
 }
 
 // timeHorizon returns the worst-case expected latency across models — the

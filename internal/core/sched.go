@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"example.com/scar/internal/eval"
 )
@@ -26,26 +27,23 @@ type modelPlan struct {
 
 func (p modelPlan) numSegments() int { return len(p.ends) }
 
-// segmentsFor expands the plan into eval Segments along a chiplet path.
-func (p modelPlan) segmentsFor(path []int) []eval.Segment {
-	segs := make([]eval.Segment, 0, len(p.ends))
-	start := 0
-	for q, end := range p.ends {
-		segs = append(segs, eval.Segment{
-			Model:   p.model,
-			First:   p.r.First + start,
-			Last:    p.r.First + end,
-			Chiplet: path[q],
-		})
-		start = end + 1
+// segmentAt returns the plan's segment q placed on the given chiplet.
+func (p modelPlan) segmentAt(q, chiplet int) eval.Segment {
+	first := 0
+	if q > 0 {
+		first = p.ends[q-1] + 1
 	}
-	return segs
+	return eval.Segment{
+		Model:   p.model,
+		First:   p.r.First + first,
+		Last:    p.r.First + p.ends[q],
+		Chiplet: chiplet,
+	}
 }
 
 // treeResult is the best window schedule found by the tree search.
 type treeResult struct {
 	segments []eval.Segment
-	metrics  eval.WindowMetrics
 	score    float64
 	evals    int
 	found    bool
@@ -75,15 +73,23 @@ type treeResult struct {
 // first DFS descent finds one — the anytime floor the scheduler's
 // partial results build on. A nil or never-true stop leaves the search
 // byte-for-byte identical to the unstoppable version.
+//
+// Invariant: the DFS cuts a branch only when it provably contains no
+// leaf that would be evaluated. Two cuts exist. A path never steps onto a
+// later model's subtree root, because that model's subtree could then not
+// be planted and the branch ends without a leaf. And no step is taken
+// once the tree's share, the total budget or the stop check has ended the
+// search, because no further leaf would be scored. Every other branch is
+// walked in ascending chiplet order, so the leaves, their order and the
+// result match the plain constrained DFS of Figure 5 exactly.
 func treeSearch(
-	evalWin func(segs []eval.Segment) eval.WindowMetrics, adj [][]bool, chiplets int,
+	evalWin func(segs []eval.Segment) eval.WindowEval, adj [][]bool, chiplets int,
 	plans []modelPlan, obj Objective, maxTrees, budget int, rng *rand.Rand, freePlacement bool,
 	stop func() bool,
 ) treeResult {
-	ordered := make([]modelPlan, len(plans))
-	copy(ordered, plans)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		return ordered[i].numSegments() > ordered[j].numSegments()
+	ordered := slices.Clone(plans)
+	slices.SortStableFunc(ordered, func(a, b modelPlan) int {
+		return cmp.Compare(b.numSegments(), a.numSegments())
 	})
 
 	tuples := rootTuples(chiplets, len(ordered), maxTrees, rng)
@@ -95,109 +101,178 @@ func treeSearch(
 		perTree = 4
 	}
 
-	res := treeResult{score: math.Inf(1)}
-	used := make([]bool, chiplets)
-	segs := make([]eval.Segment, 0, 16)
-
+	nsegs := 0
+	for _, p := range ordered {
+		nsegs += p.numSegments()
+	}
+	t := treeWalk{
+		evalWin: evalWin,
+		obj:     obj,
+		stop:    stop,
+		budget:  budget,
+		plans:   ordered,
+		next:    successors(adj, freePlacement),
+		used:    make([]bool, chiplets),
+		segs:    make([]eval.Segment, 0, nsegs),
+		res:     treeResult{score: math.Inf(1)},
+	}
 	for _, roots := range tuples {
-		if res.evals >= budget || res.aborted {
+		if t.res.evals >= budget || t.res.aborted {
 			break
 		}
-		left := perTree
-		var assign func(k int)
-		assign = func(k int) {
-			if left <= 0 || res.evals >= budget || res.aborted {
-				return
-			}
-			if k == len(ordered) {
-				wm := evalWin(segs)
-				score := obj.windowScore(wm)
-				res.evals++
-				left--
-				if score < res.score {
-					// Snapshot only improvements: segs' backing array
-					// is rewritten as the DFS backtracks.
-					res.score = score
-					res.metrics = wm
-					res.segments = append([]eval.Segment(nil), segs...)
-					res.found = true
-				}
-				if stop != nil && stop() {
-					res.aborted = true
-				}
-				return
-			}
-			plan := ordered[k]
-			root := roots[k]
-			if used[root] {
-				return
-			}
-			path := make([]int, 0, plan.numSegments())
-			var dfs func(cur int)
-			dfs = func(cur int) {
-				if left <= 0 || res.aborted {
-					return
-				}
-				used[cur] = true
-				path = append(path, cur)
-				if len(path) == plan.numSegments() {
-					n := len(segs)
-					segs = append(segs, plan.segmentsFor(path)...)
-					assign(k + 1)
-					segs = segs[:n]
-				} else {
-					for next := 0; next < len(adj[cur]); next++ {
-						if (freePlacement || adj[cur][next]) && !used[next] && next != cur {
-							dfs(next)
-						}
-					}
-				}
-				path = path[:len(path)-1]
-				used[cur] = false
-			}
-			dfs(root)
+		// Reserving every root up front is the later-root cut: no path
+		// can step onto a chiplet another subtree must start from.
+		for _, c := range roots {
+			t.used[c] = true
 		}
-		assign(0)
+		t.roots = roots
+		t.left = perTree
+		t.assign(0)
+		for _, c := range roots {
+			t.used[c] = false
+		}
 	}
-	return res
+	return t.res
+}
+
+// successors lists, per chiplet, the chiplets a path may step to next in
+// ascending order: its interposer neighbors, or every other chiplet under
+// free placement. All lists share one backing array.
+func successors(adj [][]bool, freePlacement bool) [][]int {
+	total := 0
+	for cur, row := range adj {
+		for next, linked := range row {
+			if (freePlacement || linked) && next != cur {
+				total++
+			}
+		}
+	}
+	flat := make([]int, 0, total)
+	out := make([][]int, len(adj))
+	for cur, row := range adj {
+		start := len(flat)
+		for next, linked := range row {
+			if (freePlacement || linked) && next != cur {
+				flat = append(flat, next)
+			}
+		}
+		out[cur] = flat[start:len(flat):len(flat)]
+	}
+	return out
+}
+
+// treeWalk is one treeSearch call's DFS state. segs holds the placed
+// segments of every planted subtree, in plan order, and grows and shrinks
+// in place as the walk descends and backtracks.
+type treeWalk struct {
+	evalWin func(segs []eval.Segment) eval.WindowEval
+	obj     Objective
+	stop    func() bool
+	budget  int
+	plans   []modelPlan
+	next    [][]int
+	used    []bool
+	segs    []eval.Segment
+	roots   []int
+	left    int
+	res     treeResult
+}
+
+// done reports whether no further leaf would be scored: the tree's share
+// or the total budget is spent, or the stop check fired.
+func (t *treeWalk) done() bool {
+	return t.left <= 0 || t.res.evals >= t.budget || t.res.aborted
+}
+
+// assign plants plan k's subtree at its root, or scores the window once
+// every plan is placed. Callers only enter it while the walk is not done.
+func (t *treeWalk) assign(k int) {
+	if k < len(t.plans) {
+		t.extend(k, 0, t.roots[k])
+		return
+	}
+	score := t.obj.windowScore(t.evalWin(t.segs))
+	t.res.evals++
+	t.left--
+	if score < t.res.score {
+		// Snapshot only improvements: segs' backing array is rewritten
+		// as the DFS backtracks.
+		t.res.score = score
+		t.res.segments = append([]eval.Segment(nil), t.segs...)
+		t.res.found = true
+	}
+	if t.stop != nil && t.stop() {
+		t.res.aborted = true
+	}
+}
+
+// extend places plan k's segment q on chiplet cur (already marked used),
+// then either plants the next subtree or walks on to every free successor.
+func (t *treeWalk) extend(k, q, cur int) {
+	t.segs = append(t.segs, t.plans[k].segmentAt(q, cur))
+	if q+1 == t.plans[k].numSegments() {
+		t.assign(k + 1)
+	} else {
+		for _, next := range t.next[cur] {
+			if t.used[next] {
+				continue
+			}
+			if t.done() {
+				break
+			}
+			t.used[next] = true
+			t.extend(k, q+1, next)
+			t.used[next] = false
+		}
+	}
+	t.segs = t.segs[:len(t.segs)-1]
 }
 
 // rootTuples generates up to maxTrees injective chiplet tuples of the
 // given arity: the canonical ascending tuple first (so small searches are
 // stable) followed by deterministic seeded samples for coverage of the
-// forest.
+// forest. Sampling stops early once every one of the
+// chiplets!/(chiplets-arity)! tuples has been found.
 func rootTuples(chiplets, arity, maxTrees int, rng *rand.Rand) [][]int {
 	if arity > chiplets || arity == 0 {
 		return nil
 	}
-	var out [][]int
-	seen := map[string]bool{}
-	add := func(t []int) bool {
-		k := fmtAlloc(t)
-		if seen[k] {
-			return false
+	// space is the number of distinct tuples, saturated at maxTrees.
+	space := 1
+	for i := 0; i < arity && space < maxTrees; i++ {
+		space *= chiplets - i
+	}
+	// Accepted tuples are copied into one backing array sized for all of
+	// them, so only an accepted tuple's dedup key allocates.
+	n := min(maxTrees, space)
+	flat := make([]int, 0, n*arity)
+	out := make([][]int, 0, n)
+	seen := make(map[string]bool, n)
+	var key []byte
+	add := func(t []int) {
+		key = appendIntsKey(key[:0], t)
+		if seen[string(key)] {
+			return
 		}
-		seen[k] = true
-		out = append(out, t)
-		return true
+		seen[string(key)] = true
+		flat = append(flat, t...)
+		out = append(out, flat[len(flat)-arity:len(flat):len(flat)])
 	}
-	canonical := make([]int, arity)
-	for i := range canonical {
-		canonical[i] = i
+	perm := make([]int, chiplets)
+	for i := range perm {
+		perm[i] = i
 	}
-	add(canonical)
+	add(perm[:arity])
 	// Sampling with rejection; the attempt bound keeps termination
 	// certain when maxTrees approaches the tuple-space size.
 	attempts := maxTrees * 20
-	perm := make([]int, chiplets)
-	for len(out) < maxTrees && attempts > 0 {
+	for len(out) < n && attempts > 0 {
 		attempts--
 		for i := range perm {
 			perm[i] = i
 		}
 		rng.Shuffle(chiplets, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		t := append([]int(nil), perm[:arity]...)
-		add(t)
+		add(perm[:arity])
 	}
 	return out
 }

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -86,12 +87,14 @@ type CandidateMetrics struct {
 }
 
 // workerState is one pool worker's private evaluation state: a compiled-
-// session Scratch plus a reusable cache-key buffer. The pool guarantees
-// no two concurrently-running tasks share a worker id, so access is
-// race-free without locks.
+// session Scratch, a reusable cache-key buffer and an RNG that each task
+// re-seeds with its own derived seed (re-seeding yields the same stream
+// as a fresh generator). The pool guarantees no two concurrently-running
+// tasks share a worker id, so access is race-free without locks.
 type workerState struct {
 	scratch *eval.Scratch
 	key     []byte
+	rng     *rand.Rand
 }
 
 // run bundles one scheduling invocation's state. All of it is either
@@ -140,15 +143,13 @@ func (s *Scheduler) newRun(ctx context.Context, req *Request, opts Options) *run
 		comp = eval.Compile(s.db, req.MCM, req.Scenario, opts.Eval)
 	}
 	r := &run{
-		s:      s,
-		ctx:    ctx,
-		opts:   opts,
-		sc:     req.Scenario,
-		m:      req.MCM,
-		comp:   comp,
-		obj:    req.Objective,
-		expLat: expectedLatencies(s.db, req.Scenario, req.MCM),
-		expE:   expectedEnergies(s.db, req.Scenario, req.MCM),
+		s:    s,
+		ctx:  ctx,
+		opts: opts,
+		sc:   req.Scenario,
+		m:    req.MCM,
+		comp: comp,
+		obj:  req.Objective,
 		// Hoisting the adjacency also forces the package's lazy network
 		// build before workers fan out.
 		adj:       req.MCM.AdjacencyMatrix(),
@@ -156,9 +157,11 @@ func (s *Scheduler) newRun(ctx context.Context, req *Request, opts Options) *run
 		cache:     newWindowCache(),
 		bestScore: math.Inf(1),
 	}
+	r.expLat, r.expE = s.db.ExpectedLayers(req.Scenario, req.MCM)
 	r.workers = make([]workerState, r.pool.NWorkers())
 	for i := range r.workers {
 		r.workers[i].scratch = r.comp.NewScratch()
+		r.workers[i].rng = rand.New(rand.NewSource(0))
 	}
 	return r
 }
@@ -184,23 +187,24 @@ func (r *run) searchStop() bool { return r.stopped.Load() }
 
 // window evaluates one time window through the run's memoization layer
 // with the given worker's scratch state, counting the logical evaluation.
-// Cache probes reuse the worker's key buffer; only a miss materializes
-// the metrics and the stored key. Every 32nd evaluation polls the run
-// context so cancellation is observed within tens of microseconds of
-// search work without putting ctx.Err on every evaluation.
-func (r *run) window(worker int, w eval.TimeWindow) eval.WindowMetrics {
+// Cache probes reuse the worker's key buffer, and the cache stores the
+// pointer-free eval.WindowEval, so only a miss allocates (the stored key).
+// Every 32nd evaluation polls the run context so cancellation is observed
+// within tens of microseconds of search work without putting ctx.Err on
+// every evaluation.
+func (r *run) window(worker int, segs []eval.Segment) eval.WindowEval {
 	n := r.evals.Add(1)
 	if n&31 == 0 && !r.stopped.Load() && r.ctx.Err() != nil {
 		r.stopped.Store(true)
 	}
 	ws := &r.workers[worker]
-	ws.key = appendWindowKey(ws.key[:0], w.Segments)
-	if wm, ok := r.cache.get(ws.key); ok {
-		return wm
+	ws.key = appendWindowKey(ws.key[:0], segs)
+	if we, ok := r.cache.get(ws.key); ok {
+		return we
 	}
-	wm := r.comp.Window(ws.scratch, w)
-	r.cache.put(ws.key, wm)
-	return wm
+	we := r.comp.WindowEval(ws.scratch, eval.TimeWindow{Segments: segs})
+	r.cache.put(ws.key, we)
+	return we
 }
 
 // noteCandidate records one finished (or skipped) candidate for progress
@@ -480,12 +484,13 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 	// SEG + SCHED task construction stays serial (it is cheap relative
 	// to the tree searches); every task carries its own derived seed.
 	var tasks []comboTask
+	segRng := r.workers[self].rng
 	for ai, alloc := range allocOptions {
 		// SEG: top-k segmentation candidates per model (Heuristic 1).
 		topk := make([][]segCandidate, len(active))
 		for i, mi := range active {
 			rg := w[mi]
-			segRng := rand.New(rand.NewSource(mixSeed(seed, 1, int64(ai), int64(i))))
+			segRng.Seed(mixSeed(seed, 1, int64(ai), int64(i)))
 			cands := segmentCandidates(
 				r.sc.Models[mi], rg, alloc[i],
 				r.expLat[mi], r.expE[mi],
@@ -524,9 +529,10 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 	results := make([]treeResult, len(tasks))
 	r.pool.forEach(self, len(tasks), func(worker, ti int) {
 		t := tasks[ti]
-		rng := rand.New(rand.NewSource(t.seed))
-		evalWin := func(segs []eval.Segment) eval.WindowMetrics {
-			return r.window(worker, eval.TimeWindow{Segments: segs})
+		rng := r.workers[worker].rng
+		rng.Seed(t.seed)
+		evalWin := func(segs []eval.Segment) eval.WindowEval {
+			return r.window(worker, segs)
 		}
 		results[ti] = treeSearch(
 			evalWin, r.adj, r.m.NumChiplets(),
@@ -556,15 +562,9 @@ func rankedCombos(topk [][]segCandidate, limit int) [][]int {
 	if len(topk) == 0 {
 		return nil
 	}
-	total := 1
 	for _, l := range topk {
 		if len(l) == 0 {
 			return nil
-		}
-		total *= len(l)
-		if total > 4096 {
-			total = 4096
-			break
 		}
 	}
 	var all [][]int
@@ -584,16 +584,7 @@ func rankedCombos(topk [][]segCandidate, limit int) [][]int {
 		}
 	}
 	rec(0)
-	sort.SliceStable(all, func(a, b int) bool {
-		sa, sb := 0, 0
-		for _, v := range all[a] {
-			sa += v
-		}
-		for _, v := range all[b] {
-			sb += v
-		}
-		return sa < sb
-	})
+	slices.SortStableFunc(all, func(a, b []int) int { return cmp.Compare(sum(a), sum(b)) })
 	if len(all) > limit {
 		all = all[:limit]
 	}

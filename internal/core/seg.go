@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"example.com/scar/internal/mcm"
 	"example.com/scar/internal/workload"
@@ -59,7 +60,7 @@ func segmentCandidates(
 		score := scoreSegmentation(model, r, ends, lat, eng, m, obj)
 		out = append(out, segCandidate{ends: ends, score: score})
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].score < out[j].score })
+	slices.SortStableFunc(out, func(a, b segCandidate) int { return cmp.Compare(a.score, b.score) })
 	return out
 }
 
@@ -84,47 +85,58 @@ func segSpaceSize(l, maxSegs, limit int) int {
 }
 
 // enumerateSegmentations lists every split of l layers into 1..maxSegs
-// contiguous segments as end-offset vectors.
+// contiguous segments as end-offset vectors. The vectors share one
+// backing array.
 func enumerateSegmentations(l, maxSegs int) [][]int {
-	var out [][]int
-	var rec func(start, segsLeft int, ends []int)
-	rec = func(start, segsLeft int, ends []int) {
+	var flat, offs []int
+	ends := make([]int, 0, maxSegs)
+	var rec func(start, segsLeft int)
+	rec = func(start, segsLeft int) {
 		if segsLeft == 1 {
-			final := append(append([]int{}, ends...), l-1)
-			out = append(out, final)
+			flat = append(append(flat, ends...), l-1)
+			offs = append(offs, len(flat))
 			return
 		}
 		for end := start; end < l-1; end++ {
-			rec(end+1, segsLeft-1, append(ends, end))
+			ends = append(ends, end)
+			rec(end+1, segsLeft-1)
+			ends = ends[:len(ends)-1]
 		}
 	}
 	for s := 1; s <= maxSegs; s++ {
-		rec(0, s, nil)
+		rec(0, s)
+	}
+	out := make([][]int, len(offs))
+	start := 0
+	for i, end := range offs {
+		out[i] = flat[start:end:end]
+		start = end
 	}
 	return out
 }
 
 // sampledSegmentations produces cost-balanced splits for each segment
-// count plus seeded random cut sets.
+// count plus seeded random cut sets, deduplicated in first-seen order.
 func sampledSegmentations(l, maxSegs int, lat []float64, samples int, rng *rand.Rand) [][]int {
 	seen := map[string]bool{}
 	var out [][]int
+	var key []byte
 	add := func(ends []int) {
-		k := fingerprintEnds(ends)
-		if !seen[k] {
-			seen[k] = true
-			// Copy: callers reuse their slice backing.
-			out = append(out, append([]int(nil), ends...))
+		key = appendIntsKey(key[:0], ends)
+		if !seen[string(key)] {
+			seen[string(key)] = true
+			out = append(out, slices.Clone(ends))
 		}
 	}
 	var total float64
 	for _, v := range lat {
 		total += v
 	}
+	ends := make([]int, 0, maxSegs)
 	for s := 1; s <= maxSegs; s++ {
 		// Balance by expected latency: cut when the running sum
 		// crosses each i/s quantile.
-		ends := make([]int, 0, s)
+		ends = ends[:0]
 		target := total / float64(s)
 		var acc float64
 		for i := 0; i < l && len(ends) < s-1; i++ {
@@ -133,8 +145,7 @@ func sampledSegmentations(l, maxSegs int, lat []float64, samples int, rng *rand.
 				ends = append(ends, i)
 			}
 		}
-		ends = append(ends, l-1)
-		add(ends)
+		add(append(ends, l-1))
 		// Balance by layer count.
 		ends = ends[:0]
 		for q := 1; q < s; q++ {
@@ -143,19 +154,18 @@ func sampledSegmentations(l, maxSegs int, lat []float64, samples int, rng *rand.
 				ends = append(ends, e)
 			}
 		}
-		add(append(append([]int{}, ends...), l-1))
+		add(append(ends, l-1))
 	}
 	for i := 0; i < samples; i++ {
+		// s-1 distinct random cuts, drawn until that many are distinct.
 		s := 1 + rng.Intn(maxSegs)
-		cuts := map[int]bool{}
-		for len(cuts) < s-1 {
-			cuts[rng.Intn(l-1)] = true
+		ends = ends[:0]
+		for len(ends) < s-1 {
+			if c := rng.Intn(l - 1); !slices.Contains(ends, c) {
+				ends = append(ends, c)
+			}
 		}
-		ends := make([]int, 0, s)
-		for c := range cuts {
-			ends = append(ends, c)
-		}
-		sort.Ints(ends)
+		slices.Sort(ends)
 		add(append(ends, l-1))
 	}
 	return out
@@ -198,12 +208,4 @@ func scoreSegmentation(
 	}
 	totalPJ += xferPJ
 	return obj.proxy(pipeLat, totalPJ)
-}
-
-func fingerprintEnds(ends []int) string {
-	buf := make([]byte, 0, 2*len(ends))
-	for _, e := range ends {
-		buf = append(buf, byte(e), byte(e>>8))
-	}
-	return string(buf)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"example.com/scar/internal/eval"
@@ -26,34 +27,32 @@ import (
 // though the visiting order is not.
 type windowCache struct {
 	mu sync.RWMutex
-	m  map[string]eval.WindowMetrics
+	m  map[string]eval.WindowEval
 }
 
 func newWindowCache() *windowCache {
-	return &windowCache{m: make(map[string]eval.WindowMetrics)}
+	return &windowCache{m: make(map[string]eval.WindowEval)}
 }
 
 // appendWindowKey appends a window fingerprint to dst and returns it:
-// model, window-absolute layer range and chiplet per segment. 4 bytes per
-// field so custom packages and models beyond 2^16 chiplets/layers cannot
-// alias two distinct windows to one cache entry. Callers reuse dst across
-// evaluations, so the search's cache probes allocate nothing.
+// model, window-absolute layer range and chiplet per segment, each as a
+// uvarint. The encoding is prefix-free, so two distinct windows never
+// alias to one cache entry, while the small values of real windows take a
+// byte or two each. Callers reuse dst across evaluations, so the search's
+// cache probes allocate nothing.
 func appendWindowKey(dst []byte, segs []eval.Segment) []byte {
-	put := func(v int) {
-		dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
 	for _, s := range segs {
-		put(s.Model)
-		put(s.First)
-		put(s.Last)
-		put(s.Chiplet)
+		dst = binary.AppendUvarint(dst, uint64(s.Model))
+		dst = binary.AppendUvarint(dst, uint64(s.First))
+		dst = binary.AppendUvarint(dst, uint64(s.Last))
+		dst = binary.AppendUvarint(dst, uint64(s.Chiplet))
 	}
 	return dst
 }
 
 // get looks a fingerprint up without copying it (the map index converts
 // the byte key in place).
-func (c *windowCache) get(k []byte) (eval.WindowMetrics, bool) {
+func (c *windowCache) get(k []byte) (eval.WindowEval, bool) {
 	c.mu.RLock()
 	wm, ok := c.m[string(k)]
 	c.mu.RUnlock()
@@ -61,7 +60,7 @@ func (c *windowCache) get(k []byte) (eval.WindowMetrics, bool) {
 }
 
 // put stores a window evaluation, copying the fingerprint for ownership.
-func (c *windowCache) put(k []byte, wm eval.WindowMetrics) {
+func (c *windowCache) put(k []byte, wm eval.WindowEval) {
 	c.mu.Lock()
 	c.m[string(k)] = wm
 	c.mu.Unlock()

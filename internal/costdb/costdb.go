@@ -125,6 +125,46 @@ func (db *DB) Stats() (hits, misses int64) {
 	return db.hits.Load(), db.misses.Load()
 }
 
+// dataflowShare is one dataflow class of a package as Equation (1)
+// weighs it: the spec of its first chiplet (all chiplets of one dataflow
+// class share a spec in the paper's templates) and its share n_df / |C|.
+type dataflowShare struct {
+	df    dataflow.Dataflow
+	spec  maestro.Chiplet
+	count int
+	w     float64
+}
+
+// mixtureOf resolves a package's dataflow classes in first-appearance
+// order.
+func mixtureOf(m *mcm.MCM) []dataflowShare {
+	var mix []dataflowShare
+	for _, c := range m.Chiplets {
+		i := 0
+		for i < len(mix) && mix[i].df.Name != c.Dataflow.Name {
+			i++
+		}
+		if i == len(mix) {
+			mix = append(mix, dataflowShare{df: c.Dataflow, spec: c.Spec})
+		}
+		mix[i].count++
+	}
+	total := float64(m.NumChiplets())
+	for i := range mix {
+		mix[i].w = float64(mix[i].count) / total
+	}
+	return mix
+}
+
+func (db *DB) expected(l workload.Layer, mix []dataflowShare) (latSec, energyPJ float64) {
+	for _, c := range mix {
+		r := db.Cost(l, c.df, c.spec)
+		latSec += c.w * r.ComputeSeconds
+		energyPJ += c.w * r.EnergyPJ
+	}
+	return latSec, energyPJ
+}
+
 // Expected implements Equation (1) of the paper and its energy analogue:
 // the dataflow-composition-weighted expectation of a layer's cost on the
 // package,
@@ -135,33 +175,35 @@ func (db *DB) Stats() (hits, misses int64) {
 // is what the MCM-Reconfig and PROV engines use before chiplet assignment
 // is known.
 func (db *DB) Expected(l workload.Layer, m *mcm.MCM) (latSec, energyPJ float64) {
-	total := float64(m.NumChiplets())
-	counts := m.DataflowCounts()
-	for _, df := range m.Dataflows() {
-		// All chiplets of one dataflow class share a spec in the
-		// paper's templates; use the first matching chiplet's spec.
-		var spec maestro.Chiplet
-		for _, c := range m.Chiplets {
-			if c.Dataflow.Name == df.Name {
-				spec = c.Spec
-				break
-			}
-		}
-		w := float64(counts[df.Name]) / total
-		r := db.Cost(l, df, spec)
-		latSec += w * r.ComputeSeconds
-		energyPJ += w * r.EnergyPJ
-	}
-	return latSec, energyPJ
+	return db.expected(l, mixtureOf(m))
 }
 
 // ExpectedModel sums Expected over a model's layers at its batch size,
 // giving E(P_i) for the PROV engine's Equation (2).
 func (db *DB) ExpectedModel(model workload.Model, m *mcm.MCM) (latSec, energyPJ float64) {
+	mix := mixtureOf(m)
 	for _, l := range model.Layers {
-		lat, e := db.Expected(l.WithBatch(model.Batch), m)
+		lat, e := db.expected(l.WithBatch(model.Batch), mix)
 		latSec += lat
 		energyPJ += e
+	}
+	return latSec, energyPJ
+}
+
+// ExpectedLayers returns Expected for every layer of every model of the
+// scenario at the model's batch size, as latSec[model][layer] and
+// energyPJ[model][layer]. The package's composition is resolved once, not
+// per layer.
+func (db *DB) ExpectedLayers(sc *workload.Scenario, m *mcm.MCM) (latSec, energyPJ [][]float64) {
+	mix := mixtureOf(m)
+	latSec = make([][]float64, len(sc.Models))
+	energyPJ = make([][]float64, len(sc.Models))
+	for mi, model := range sc.Models {
+		latSec[mi] = make([]float64, len(model.Layers))
+		energyPJ[mi] = make([]float64, len(model.Layers))
+		for li, l := range model.Layers {
+			latSec[mi][li], energyPJ[mi][li] = db.expected(l.WithBatch(model.Batch), mix)
+		}
 	}
 	return latSec, energyPJ
 }

@@ -162,6 +162,31 @@ func TestExpectedModelSums(t *testing.T) {
 	}
 }
 
+// ExpectedLayers resolves the package mixture once, and must still equal
+// Expected layer by layer to the bit.
+func TestExpectedLayersMatchesExpected(t *testing.T) {
+	db := newDB()
+	spec := maestro.DefaultDatacenterChiplet()
+	het := mcm.HetCB(3, 3, spec)
+	sc := workload.NewScenario("s",
+		workload.NewModel("a", 2, []workload.Layer{
+			workload.GEMM("a0", 64, 256, 256),
+			workload.GEMM("a1", 64, 256, 512),
+		}),
+		workload.NewModel("b", 4, []workload.Layer{workload.GEMM("b0", 32, 512, 128)}),
+	)
+	lat, e := db.ExpectedLayers(&sc, het)
+	for mi, model := range sc.Models {
+		for li, l := range model.Layers {
+			wantLat, wantE := db.Expected(l.WithBatch(model.Batch), het)
+			if lat[mi][li] != wantLat || e[mi][li] != wantE {
+				t.Errorf("model %d layer %d: ExpectedLayers = (%v, %v), Expected = (%v, %v)",
+					mi, li, lat[mi][li], e[mi][li], wantLat, wantE)
+			}
+		}
+	}
+}
+
 func approxEq(a, b float64) bool {
 	d := a - b
 	if d < 0 {
