@@ -99,10 +99,12 @@ func goldenRing(spec maestro.Chiplet) (*mcm.MCM, error) {
 // TestGoldenResults pins the digest of every deterministic Result field
 // for a fixed set of searches: brute force on 3x3 het-sides and het-cb
 // under all three objectives, a 6x6 evolutionary search whose GA falls
-// back to the tree search, free placement, exhaustive provisioning, a
-// triangular package and a custom-link package. A change that must keep
-// results bit-identical keeps every digest; one that changes results on
-// purpose re-records them and says why.
+// back to the tree search, free placement, exhaustive provisioning (also
+// under the evolutionary search), a triangular package, a custom-link
+// package, count-uniform packing, and one search at one and at four
+// workers. A change that must keep results bit-identical keeps every
+// digest; one that changes results on purpose re-records them and says
+// why.
 func TestGoldenResults(t *testing.T) {
 	db := costdb.New(maestro.DefaultParams())
 	type goldenCase struct {
@@ -111,7 +113,12 @@ func TestGoldenResults(t *testing.T) {
 		pkg      func(spec maestro.Chiplet) (*mcm.MCM, error)
 		obj      string
 		opts     func(o *Options)
-		want     string
+		// uniform runs ScheduleUniformPacking instead of Schedule.
+		uniform bool
+		// hits requires a nonzero CacheHitRate: sibling candidates
+		// share identical windows.
+		hits bool
+		want string
 	}
 	pattern := func(name string, w int) func(maestro.Chiplet) (*mcm.MCM, error) {
 		return func(spec maestro.Chiplet) (*mcm.MCM, error) { return mcm.ByName(name, w, w, spec) }
@@ -154,6 +161,23 @@ func TestGoldenResults(t *testing.T) {
 		},
 		{name: "triangular/sc8/het-t/edp", scenario: 8, pkg: pattern("het-t", 3), obj: "edp", want: "f52d1a6e245d235e"},
 		{name: "custom/sc8/ring/latency", scenario: 8, pkg: goldenRing, obj: "latency", want: "999cdf435e9cd6e9"},
+		{name: "brute-hits/sc7/het-cb/edp", scenario: 7, pkg: pattern("het-cb", 3), obj: "edp", hits: true, want: "0aadf8eb2ae4b86a"},
+		{
+			name: "evo-prov-exhaustive/sc6/het-sides/edp", scenario: 6, pkg: pattern("het-sides", 3), obj: "edp",
+			opts: func(o *Options) { o.Search = SearchEvolutionary; o.Prov = ProvExhaustive; o.MaxProvOptions = 8 },
+			want: "e0018831d0c59daa",
+		},
+		{name: "uniform/sc8/het-sides/edp", scenario: 8, pkg: pattern("het-sides", 3), obj: "edp", uniform: true, want: "55d18ea35dc14fbb"},
+		{
+			name: "workers1/sc7/het-sides/latency", scenario: 7, pkg: pattern("het-sides", 3), obj: "latency",
+			opts: func(o *Options) { o.Workers = 1 },
+			want: "53b5035c71659c4e",
+		},
+		{
+			name: "workers4/sc7/het-sides/latency", scenario: 7, pkg: pattern("het-sides", 3), obj: "latency",
+			opts: func(o *Options) { o.Workers = 4 },
+			want: "53b5035c71659c4e",
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -177,12 +201,19 @@ func TestGoldenResults(t *testing.T) {
 			if c.opts != nil {
 				c.opts(&opts)
 			}
-			res, err := New(db, opts).Schedule(context.Background(), NewRequest(&sc, pkg, obj))
+			sched := New(db, opts).Schedule
+			if c.uniform {
+				sched = New(db, opts).ScheduleUniformPacking
+			}
+			res, err := sched(context.Background(), NewRequest(&sc, pkg, obj))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Partial {
 				t.Fatal("partial result without a deadline")
+			}
+			if c.hits && res.CacheHitRate() == 0 {
+				t.Error("no window evaluation was served from memory")
 			}
 			if got := goldenDigest(res); got != c.want {
 				t.Errorf("digest %s, want %s", got, c.want)
