@@ -231,7 +231,7 @@ func TestSegmentCandidatesSortedAndValid(t *testing.T) {
 	sc := workload.NewScenario("s", model)
 	expLat, expE := db.ExpectedLayers(&sc, pkg)
 	rng := rand.New(rand.NewSource(7))
-	cands := segmentCandidates(model, layerRange{0, 4}, 3, expLat[0], expE[0], pkg, EDPObjective(), DefaultOptions(), rng)
+	cands := segmentCandidates(model.Batch, layerRange{0, 4}, 3, expLat[0], expE[0], outputBytes(&sc)[0], pkg, EDPObjective(), DefaultOptions(), rng)
 	if len(cands) == 0 {
 		t.Fatal("no segmentation candidates")
 	}

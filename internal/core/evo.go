@@ -155,9 +155,11 @@ func greedyPath(m intGraph, root, length int, used []bool, seed int) ([]int, boo
 // find a feasible genome. self is the calling task's worker id (the GA is
 // serial within the task, so its fitness evaluations share the worker's
 // scratch); seed is the window's deterministic RNG root (mixSeed of the
-// run seed with the candidate and window indices), so concurrent windows
-// run independent, reproducible GAs.
-func (s *Scheduler) searchWindowEvo(r *run, self int, w windowAssignment, seed int64) ([]eval.Segment, error) {
+// run seed with the window's ranges), so concurrent windows run
+// independent, reproducible GAs. leaves is the search's leaf cache,
+// shared with the fallback, since duplicate genomes and the fallback's
+// placements can score one leaf twice.
+func (s *Scheduler) searchWindowEvo(r *run, self int, w windowAssignment, seed int64, leaves *windowCache) windowOutcome {
 	var active []int
 	var ranges []layerRange
 	var weights []float64
@@ -178,17 +180,19 @@ func (s *Scheduler) searchWindowEvo(r *run, self int, w windowAssignment, seed i
 	}
 	alloc, err := provisionRule(weights, layerCounts, r.m.NumChiplets(), r.opts.NodeAllocCap)
 	if err != nil {
-		return nil, err
+		return windowOutcome{err: err}
 	}
 
 	graph := intGraph{n: r.m.NumChiplets(), adj: r.adj}
 	genome := buildEvoGenome(active, ranges, alloc, r.m.NumChiplets())
+	evals := 0
 	fitness := func(genes []int) float64 {
 		segs, ok := genome.decode(genes, graph)
 		if !ok {
 			return math.Inf(1)
 		}
-		return r.obj.windowScore(r.window(self, segs))
+		evals++
+		return r.obj.windowScore(r.window(self, leaves, segs))
 	}
 	gaOpts := r.opts.Evo
 	gaOpts.Seed = mixSeed(seed, 3)
@@ -197,16 +201,16 @@ func (s *Scheduler) searchWindowEvo(r *run, self int, w windowAssignment, seed i
 		Fitness: fitness,
 		Stop:    r.searchStop,
 	}, gaOpts)
-	if res.Stopped {
-		r.truncated.Store(true)
+	var out windowOutcome
+	ok := err == nil && !math.IsInf(res.BestFitness, 1)
+	if ok {
+		out.segs, ok = genome.decode(res.Best, graph)
 	}
-	if err != nil || math.IsInf(res.BestFitness, 1) {
-		// GA found nothing feasible: fall back to the tree search.
-		return s.searchWindow(r, self, w, seed)
-	}
-	segs, ok := genome.decode(res.Best, graph)
 	if !ok {
-		return s.searchWindow(r, self, w, seed)
+		// GA found nothing feasible: fall back to the tree search.
+		out = s.searchWindow(r, self, w, seed, leaves)
 	}
-	return segs, nil
+	out.evals += evals
+	out.aborted = out.aborted || res.Stopped
+	return out
 }

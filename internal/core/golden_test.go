@@ -96,34 +96,33 @@ func goldenRing(spec maestro.Chiplet) (*mcm.MCM, error) {
 	return mcm.NewCustom("golden-ring-3x3", 3, 3, dfs, links, []int{0, 3, 6, 2, 5, 8}, spec)
 }
 
-// TestGoldenResults pins the digest of every deterministic Result field
-// for a fixed set of searches: brute force on 3x3 het-sides and het-cb
-// under all three objectives, a 6x6 evolutionary search whose GA falls
-// back to the tree search, free placement, exhaustive provisioning (also
-// under the evolutionary search), a triangular package, a custom-link
-// package, count-uniform packing, and one search at one and at four
-// workers. A change that must keep results bit-identical keeps every
-// digest; one that changes results on purpose re-records them and says
-// why.
-func TestGoldenResults(t *testing.T) {
-	db := costdb.New(maestro.DefaultParams())
-	type goldenCase struct {
-		name     string
-		scenario int
-		pkg      func(spec maestro.Chiplet) (*mcm.MCM, error)
-		obj      string
-		opts     func(o *Options)
-		// uniform runs ScheduleUniformPacking instead of Schedule.
-		uniform bool
-		// hits requires a nonzero CacheHitRate: sibling candidates
-		// share identical windows.
-		hits bool
-		want string
-	}
+// goldenCase is one pinned search: a built-in scenario on a package
+// under an objective, with option overrides, and its Result digest.
+type goldenCase struct {
+	name     string
+	scenario int
+	pkg      func(spec maestro.Chiplet) (*mcm.MCM, error)
+	obj      string
+	opts     func(o *Options)
+	// uniform runs ScheduleUniformPacking instead of Schedule.
+	uniform bool
+	// hits requires a nonzero CacheHitRate: sibling candidates share
+	// identical windows.
+	hits bool
+	want string
+}
+
+// goldenCases lists the pinned searches: brute force on 3x3 het-sides
+// and het-cb under all three objectives, a 6x6 evolutionary search whose
+// GA falls back to the tree search, free placement, exhaustive
+// provisioning (also under the evolutionary search), a triangular
+// package, a custom-link package, count-uniform packing, and one search
+// at one and at four workers.
+func goldenCases() []goldenCase {
 	pattern := func(name string, w int) func(maestro.Chiplet) (*mcm.MCM, error) {
 		return func(spec maestro.Chiplet) (*mcm.MCM, error) { return mcm.ByName(name, w, w, spec) }
 	}
-	cases := []goldenCase{
+	return []goldenCase{
 		{name: "brute/sc1/het-sides/latency", scenario: 1, pkg: pattern("het-sides", 3), obj: "latency", want: "4906e30cf44a5cc1"},
 		{name: "brute/sc1/het-sides/energy", scenario: 1, pkg: pattern("het-sides", 3), obj: "energy", want: "c8abaf990c91fad0"},
 		{name: "brute/sc1/het-sides/edp", scenario: 1, pkg: pattern("het-sides", 3), obj: "edp", want: "9ba09e753e44d83c"},
@@ -179,33 +178,64 @@ func TestGoldenResults(t *testing.T) {
 			want: "53b5035c71659c4e",
 		},
 	}
-	for _, c := range cases {
+}
+
+// goldenCaseNamed returns the pinned case with the given name.
+func goldenCaseNamed(t *testing.T, name string) goldenCase {
+	t.Helper()
+	for _, c := range goldenCases() {
+		if c.name == name {
+			return c
+		}
+	}
+	t.Fatalf("no golden case %q", name)
+	return goldenCase{}
+}
+
+// request builds the case's request and its scheduler options.
+func (c goldenCase) request(t *testing.T) (*Request, Options) {
+	t.Helper()
+	sc, err := models.ScenarioByNumber(c.scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := maestro.DefaultDatacenterChiplet()
+	if c.scenario >= 6 {
+		spec = maestro.DefaultEdgeChiplet()
+	}
+	pkg, err := c.pkg(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := ObjectiveByName(c.obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	if c.opts != nil {
+		c.opts(&opts)
+	}
+	return NewRequest(&sc, pkg, obj), opts
+}
+
+// run schedules the case with s, which must carry the case's options.
+func (c goldenCase) run(ctx context.Context, s *Scheduler, req *Request) (*Result, error) {
+	if c.uniform {
+		return s.ScheduleUniformPacking(ctx, req)
+	}
+	return s.Schedule(ctx, req)
+}
+
+// TestGoldenResults pins the digest of every deterministic Result field
+// for every golden case. A change that must keep results bit-identical
+// keeps every digest; one that changes results on purpose re-records
+// them and says why.
+func TestGoldenResults(t *testing.T) {
+	db := costdb.New(maestro.DefaultParams())
+	for _, c := range goldenCases() {
 		t.Run(c.name, func(t *testing.T) {
-			sc, err := models.ScenarioByNumber(c.scenario)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec := maestro.DefaultDatacenterChiplet()
-			if c.scenario >= 6 {
-				spec = maestro.DefaultEdgeChiplet()
-			}
-			pkg, err := c.pkg(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			obj, err := ObjectiveByName(c.obj)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := DefaultOptions()
-			if c.opts != nil {
-				c.opts(&opts)
-			}
-			sched := New(db, opts).Schedule
-			if c.uniform {
-				sched = New(db, opts).ScheduleUniformPacking
-			}
-			res, err := sched(context.Background(), NewRequest(&sc, pkg, obj))
+			req, opts := c.request(t)
+			res, err := c.run(context.Background(), New(db, opts), req)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -135,12 +135,16 @@ type ProgressEvent struct {
 	// candidates finished vs planned.
 	CandidatesDone  int
 	CandidatesTotal int
-	// WindowEvals counts logical window evaluations so far (cache hits
-	// included); UniqueWindows the distinct windows actually evaluated.
+	// WindowEvals counts logical window evaluations so far (memoized
+	// ones included); UniqueWindows the distinct windows evaluated by
+	// window searches finished so far. Both are final once every
+	// candidate is done (see Result.UniqueWindows).
 	WindowEvals   int
 	UniqueWindows int
-	// CacheHitRate is the fraction of window evaluations served by the
-	// run's memoization layer so far, in [0, 1].
+	// CacheHitRate is the fraction of window evaluations served from
+	// memory so far, in [0, 1]. Mid-run it also counts the evaluations
+	// of window searches still in flight as served, so it can run high
+	// until the last candidate finishes.
 	CacheHitRate float64
 	// BestScore is the current incumbent's objective score (+Inf until
 	// HasIncumbent); lower is better.

@@ -59,7 +59,11 @@ type Result struct {
 	WindowEvals int
 	// UniqueWindows counts the distinct window configurations actually
 	// evaluated; WindowEvals - UniqueWindows evaluations were served
-	// from the shared window cache.
+	// from memory. Most of those are repeats of a whole window search in
+	// a sibling candidate; under the evolutionary search or exhaustive
+	// PROV, a search can also score one leaf twice. A window search cut
+	// short by cancellation is neither memoized nor counted, so on a
+	// Partial result UniqueWindows is a lower bound.
 	UniqueWindows int
 	// Candidates counts MCM-Reconfig partitioning candidates planned by
 	// the search (on a Partial result, some may have been skipped).
@@ -87,20 +91,22 @@ type CandidateMetrics struct {
 }
 
 // workerState is one pool worker's private evaluation state: a compiled-
-// session Scratch, a reusable cache-key buffer and an RNG that each task
+// session Scratch, a reusable memo-key buffer, an RNG that each task
 // re-seeds with its own derived seed (re-seeding yields the same stream
-// as a fresh generator). The pool guarantees no two concurrently-running
-// tasks share a worker id, so access is race-free without locks.
+// as a fresh generator) and the count of real WindowEval calls the worker
+// made. The pool guarantees no two concurrently-running tasks share a
+// worker id, so access is race-free without locks.
 type workerState struct {
 	scratch *eval.Scratch
 	key     []byte
 	rng     *rand.Rand
+	calls   int
 }
 
 // run bundles one scheduling invocation's state. All of it is either
 // read-only after construction (context, effective options, compiled
 // session, expectations, adjacency) or concurrency-safe (pool, window
-// cache, atomics, mutex-guarded progress state, per-worker scratch
+// memo, atomics, mutex-guarded progress state, per-worker scratch
 // state); search tasks carry their own derived RNG seeds.
 type run struct {
 	s       *Scheduler
@@ -112,11 +118,18 @@ type run struct {
 	obj     Objective
 	expLat  [][]float64
 	expE    [][]float64
+	outB    [][]float64 // per-layer output bytes at the model's batch
 	adj     [][]bool
 	pool    *pool
 	workers []workerState
-	cache   *windowCache
+	memo    *windowMemo
 	evals   atomic.Int64
+	unique  atomic.Int64
+
+	// memoLeaves gives every window search a leaf cache, including the
+	// rule-based tree search that needs none; tests set it to prove
+	// that claim.
+	memoLeaves bool
 
 	// stopped latches the first observation of ctx cancellation so the
 	// per-leaf stop checks are one atomic load; truncated records that
@@ -154,10 +167,11 @@ func (s *Scheduler) newRun(ctx context.Context, req *Request, opts Options) *run
 		// build before workers fan out.
 		adj:       req.MCM.AdjacencyMatrix(),
 		pool:      newPool(opts.Workers),
-		cache:     newWindowCache(),
+		memo:      newWindowMemo(),
 		bestScore: math.Inf(1),
 	}
 	r.expLat, r.expE = s.db.ExpectedLayers(req.Scenario, req.MCM)
+	r.outB = outputBytes(req.Scenario)
 	r.workers = make([]workerState, r.pool.NWorkers())
 	for i := range r.workers {
 		r.workers[i].scratch = r.comp.NewScratch()
@@ -185,25 +199,31 @@ func (r *run) stop() bool {
 // between every two evaluations costs one atomic load.
 func (r *run) searchStop() bool { return r.stopped.Load() }
 
-// window evaluates one time window through the run's memoization layer
-// with the given worker's scratch state, counting the logical evaluation.
-// Cache probes reuse the worker's key buffer, and the cache stores the
-// pointer-free eval.WindowEval, so only a miss allocates (the stored key).
-// Every 32nd evaluation polls the run context so cancellation is observed
-// within tens of microseconds of search work without putting ctx.Err on
-// every evaluation.
-func (r *run) window(worker int, segs []eval.Segment) eval.WindowEval {
+// window evaluates one leaf of a window search with the given worker's
+// scratch state, counting the logical evaluation. With a nil leaves cache
+// it evaluates directly: no key, map or lock. Otherwise probes reuse the
+// worker's key buffer, and the cache stores the pointer-free
+// eval.WindowEval, so only a miss allocates (the stored key). Every 32nd
+// evaluation polls the run context so cancellation is observed within
+// tens of microseconds of search work without putting ctx.Err on every
+// evaluation.
+func (r *run) window(worker int, leaves *windowCache, segs []eval.Segment) eval.WindowEval {
 	n := r.evals.Add(1)
 	if n&31 == 0 && !r.stopped.Load() && r.ctx.Err() != nil {
 		r.stopped.Store(true)
 	}
 	ws := &r.workers[worker]
+	if leaves == nil {
+		ws.calls++
+		return r.comp.WindowEval(ws.scratch, eval.TimeWindow{Segments: segs})
+	}
 	ws.key = appendWindowKey(ws.key[:0], segs)
-	if we, ok := r.cache.get(ws.key); ok {
+	if we, ok := leaves.get(ws.key); ok {
 		return we
 	}
+	ws.calls++
 	we := r.comp.WindowEval(ws.scratch, eval.TimeWindow{Segments: segs})
-	r.cache.put(ws.key, we)
+	leaves.put(ws.key, we)
 	return we
 }
 
@@ -230,7 +250,7 @@ func (r *run) noteCandidate(out *candOutcome) {
 		CandidatesDone:  r.candsDone,
 		CandidatesTotal: r.candsTotal,
 		WindowEvals:     int(r.evals.Load()),
-		UniqueWindows:   r.cache.Len(),
+		UniqueWindows:   int(r.unique.Load()),
 		BestScore:       r.bestScore,
 		HasIncumbent:    r.hasBest,
 	}
@@ -382,7 +402,7 @@ func (s *Scheduler) searchPartitionings(r *run, cands []partitioning) (*Result, 
 	}
 	best.Partial = r.truncated.Load()
 	best.WindowEvals = int(r.evals.Load())
-	best.UniqueWindows = r.cache.Len()
+	best.UniqueWindows = int(r.unique.Load())
 	best.Candidates = len(cands)
 	best.Explored = explored
 	return best, nil
@@ -391,8 +411,9 @@ func (s *Scheduler) searchPartitionings(r *run, cands []partitioning) (*Result, 
 // assignmentSeed folds a window assignment's layer ranges into a salt, so
 // a window's RNG root depends on its *content*, not on which candidate or
 // window slot it appears in. Identical windows inside sibling candidates
-// therefore run identical searches — every one of their evaluations after
-// the first is a cache hit — while remaining worker-count-invariant.
+// therefore run identical searches — which is what lets the window memo
+// serve every repeat from the first — while remaining
+// worker-count-invariant.
 func assignmentSeed(w windowAssignment) int64 {
 	salts := make([]int64, 0, 2*len(w))
 	for _, rg := range w {
@@ -409,12 +430,7 @@ func (s *Scheduler) buildSchedule(r *run, self int, p partitioning) (*eval.Sched
 	segs := make([][]eval.Segment, len(p.windows))
 	errs := make([]error, len(p.windows))
 	r.pool.forEach(self, len(p.windows), func(worker, wi int) {
-		seed := mixSeed(r.opts.Seed, assignmentSeed(p.windows[wi]))
-		if r.opts.Search == SearchEvolutionary {
-			segs[wi], errs[wi] = s.searchWindowEvo(r, worker, p.windows[wi], seed)
-		} else {
-			segs[wi], errs[wi] = s.searchWindow(r, worker, p.windows[wi], seed)
-		}
+		segs[wi], errs[wi] = s.memoWindow(r, worker, p.windows[wi])
 	})
 	sched := &eval.Schedule{}
 	for wi := range p.windows {
@@ -424,6 +440,46 @@ func (s *Scheduler) buildSchedule(r *run, self int, p partitioning) (*eval.Sched
 		sched.Windows = append(sched.Windows, eval.TimeWindow{Index: wi, Segments: segs[wi]})
 	}
 	return sched, nil
+}
+
+// memoWindow returns one window's search result through the run's window
+// memo (see windowMemo): a repeat of a finished search returns a clone of
+// its segments and counts its logical evaluations without running it. A
+// new search gets a leaf cache only when it can score one leaf twice,
+// and adds its distinct leaves to UniqueWindows once it is stored.
+func (s *Scheduler) memoWindow(r *run, self int, w windowAssignment) ([]eval.Segment, error) {
+	ws := &r.workers[self]
+	ws.key = appendAssignmentKey(ws.key[:0], w)
+	if out, ok := r.memo.get(ws.key); ok {
+		r.evals.Add(int64(out.evals))
+		return slices.Clone(out.segs), out.err
+	}
+	// The search reuses the key buffer for leaf fingerprints.
+	key := string(ws.key)
+
+	var leaves *windowCache
+	if r.opts.Search == SearchEvolutionary || r.opts.Prov == ProvExhaustive || r.memoLeaves {
+		leaves = newWindowCache()
+	}
+	seed := mixSeed(r.opts.Seed, assignmentSeed(w))
+	var out windowOutcome
+	if r.opts.Search == SearchEvolutionary {
+		out = s.searchWindowEvo(r, self, w, seed, leaves)
+	} else {
+		out = s.searchWindow(r, self, w, seed, leaves)
+	}
+	if out.aborted {
+		r.truncated.Store(true)
+		return out.segs, out.err
+	}
+	if r.memo.put(key, out) {
+		unique := out.evals
+		if leaves != nil {
+			unique = leaves.Len()
+		}
+		r.unique.Add(int64(unique))
+	}
+	return out.segs, out.err
 }
 
 // comboTask is one (node allocation, segmentation combination) tree
@@ -439,10 +495,11 @@ type comboTask struct {
 // best segment mapping found. The segmentation-combo tree searches fan
 // out in parallel; the reduction keeps the lowest-index winner on ties.
 // self is the calling task's worker id; seed is the window's
-// deterministic RNG root (see mixSeed). Under cancellation every combo
-// task still evaluates its first reachable leaf (the anytime floor: a
-// feasible, if unoptimized, mapping) before aborting.
-func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int64) ([]eval.Segment, error) {
+// deterministic RNG root (see mixSeed); leaves is the search's leaf
+// cache, or nil to evaluate every leaf directly. Under cancellation every
+// combo task still evaluates its first reachable leaf (the anytime floor:
+// a feasible, if unoptimized, mapping) before aborting.
+func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int64, leaves *windowCache) windowOutcome {
 	// Active models and their objective-proxy weights E(P_i).
 	var active []int
 	var weights []float64
@@ -461,7 +518,7 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 		layerCounts = append(layerCounts, rg.numLayers())
 	}
 	if len(active) == 0 {
-		return nil, fmt.Errorf("empty window")
+		return windowOutcome{err: fmt.Errorf("empty window")}
 	}
 
 	// PROV: node allocations.
@@ -470,13 +527,13 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 	case ProvExhaustive:
 		opts, err := provisionExhaustive(weights, layerCounts, r.m.NumChiplets(), r.opts.NodeAllocCap, r.opts.MaxProvOptions)
 		if err != nil {
-			return nil, err
+			return windowOutcome{err: err}
 		}
 		allocOptions = opts
 	default:
 		alloc, err := provisionRule(weights, layerCounts, r.m.NumChiplets(), r.opts.NodeAllocCap)
 		if err != nil {
-			return nil, err
+			return windowOutcome{err: err}
 		}
 		allocOptions = [][]int{alloc}
 	}
@@ -492,8 +549,8 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 			rg := w[mi]
 			segRng.Seed(mixSeed(seed, 1, int64(ai), int64(i)))
 			cands := segmentCandidates(
-				r.sc.Models[mi], rg, alloc[i],
-				r.expLat[mi], r.expE[mi],
+				r.sc.Models[mi].Batch, rg, alloc[i],
+				r.expLat[mi], r.expE[mi], r.outB[mi],
 				r.m, r.obj, r.opts, segRng,
 			)
 			k := r.opts.TopKSeg
@@ -532,7 +589,7 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 		rng := r.workers[worker].rng
 		rng.Seed(t.seed)
 		evalWin := func(segs []eval.Segment) eval.WindowEval {
-			return r.window(worker, segs)
+			return r.window(worker, leaves, segs)
 		}
 		results[ti] = treeSearch(
 			evalWin, r.adj, r.m.NumChiplets(),
@@ -540,19 +597,21 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 			r.searchStop,
 		)
 	})
+	var out windowOutcome
 	best := treeResult{score: math.Inf(1)}
 	for _, res := range results {
-		if res.aborted {
-			r.truncated.Store(true)
-		}
+		out.evals += res.evals
+		out.aborted = out.aborted || res.aborted
 		if res.found && res.score < best.score {
 			best = res
 		}
 	}
 	if !best.found {
-		return nil, fmt.Errorf("no feasible chiplet mapping for %d models on %d chiplets", len(active), r.m.NumChiplets())
+		out.err = fmt.Errorf("no feasible chiplet mapping for %d models on %d chiplets", len(active), r.m.NumChiplets())
+		return out
 	}
-	return best.segments, nil
+	out.segs = best.segments
+	return out
 }
 
 // rankedCombos enumerates index tuples over the per-model candidate

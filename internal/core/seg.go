@@ -26,14 +26,15 @@ type segCandidate struct {
 
 func (c segCandidate) numSegments() int { return len(c.ends) }
 
-// segmentCandidates enumerates and scores segmentations of model mi's
-// window range into at most maxSegs segments. When the space
-// C(L-1, s-1) summed over s exceeds opts.SegEnumLimit, it falls back to
-// cost-balanced splits plus seeded random samples (the bounded-search
-// analogue of the paper's complexity management).
+// segmentCandidates enumerates and scores segmentations of a model's
+// window range into at most maxSegs segments; batch is the model's batch
+// size. When the space C(L-1, s-1) summed over s exceeds
+// opts.SegEnumLimit, it falls back to cost-balanced splits plus seeded
+// random samples (the bounded-search analogue of the paper's complexity
+// management).
 func segmentCandidates(
-	model workload.Model, r layerRange, maxSegs int,
-	expLat, expEnergy []float64, // per-layer, window-relative is [r.First..r.Last]
+	batch int, r layerRange, maxSegs int,
+	expLat, expEnergy, outBytes []float64, // per-layer, window-relative is [r.First..r.Last]
 	m *mcm.MCM, obj Objective, opts Options, rng *rand.Rand,
 ) []segCandidate {
 	l := r.numLayers()
@@ -46,6 +47,7 @@ func segmentCandidates(
 
 	lat := expLat[r.First : r.Last+1]
 	eng := expEnergy[r.First : r.Last+1]
+	xfer := outBytes[r.First : r.Last+1]
 
 	spaceSize := segSpaceSize(l, maxSegs, opts.SegEnumLimit)
 	var cands [][]int
@@ -57,7 +59,7 @@ func segmentCandidates(
 
 	out := make([]segCandidate, 0, len(cands))
 	for _, ends := range cands {
-		score := scoreSegmentation(model, r, ends, lat, eng, m, obj)
+		score := scoreSegmentation(batch, ends, lat, eng, xfer, m, obj)
 		out = append(out, segCandidate{ends: ends, score: score})
 	}
 	slices.SortStableFunc(out, func(a, b segCandidate) int { return cmp.Compare(a.score, b.score) })
@@ -175,12 +177,13 @@ func sampledSegmentations(l, maxSegs int, lat []float64, samples int, rng *rand.
 // pipeline estimate over expected (dataflow-averaged) costs. Stage
 // latencies are the per-segment expected sums; the pipeline bottleneck
 // dominates at high batch while the fill time dominates at batch 1; each
-// cut adds a NoP transfer of the boundary activation.
+// cut adds a NoP transfer of the boundary activation, whose size the
+// window-relative outBytes holds per layer.
 func scoreSegmentation(
-	model workload.Model, r layerRange, ends []int,
-	lat, eng []float64, m *mcm.MCM, obj Objective,
+	modelBatch int, ends []int,
+	lat, eng, outBytes []float64, m *mcm.MCM, obj Objective,
 ) float64 {
-	batch := float64(model.Batch)
+	batch := float64(modelBatch)
 	var sumStages, maxStage, xferLat, xferPJ float64
 	start := 0
 	for _, end := range ends {
@@ -193,7 +196,7 @@ func scoreSegmentation(
 			maxStage = stage
 		}
 		if end < len(lat)-1 {
-			bytes := float64(model.Layers[r.First+end].WithBatch(model.Batch).OutputBytes())
+			bytes := outBytes[end]
 			xferLat += bytes/m.NoPBandwidth + m.NoPHopLatency
 			xferPJ += bytes * m.NoPEnergyPerByte
 		}
@@ -208,4 +211,18 @@ func scoreSegmentation(
 	}
 	totalPJ += xferPJ
 	return obj.proxy(pipeLat, totalPJ)
+}
+
+// outputBytes tabulates every layer's output activation size at its
+// model's batch, as float64, once per run: the SEG proxy charges one for
+// every cut of every candidate it scores.
+func outputBytes(sc *workload.Scenario) [][]float64 {
+	out := make([][]float64, len(sc.Models))
+	for mi, model := range sc.Models {
+		out[mi] = make([]float64, len(model.Layers))
+		for li, l := range model.Layers {
+			out[mi][li] = float64(l.WithBatch(model.Batch).OutputBytes())
+		}
+	}
+	return out
 }
