@@ -13,7 +13,7 @@
 //	scarbench -exp online -benchjson BENCH_online.json
 //	scarbench -exp policies -benchjson BENCH_policies.json
 //	scarbench -exp overload -benchjson BENCH_overload.json
-//	scarbench -exp serve -benchjson BENCH_serve.json   # serve-layer load generator
+//	scarbench -exp serve -benchjson serve.json        # serve-layer load generator
 //	scarbench -exp serve -serve-url http://localhost:8080  # drive a live daemon
 //	scarbench -workers 4 -exp all   # bound cell-level parallelism
 //	scarbench -cpuprofile cpu.pprof -exp table4

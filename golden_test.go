@@ -117,9 +117,6 @@ func TestSessionAPIGolden(t *testing.T) {
 			{"Session.Schedule", func() (*scar.Result, error) {
 				return ses.Schedule(ctx, scar.EDPObjective())
 			}},
-			{"ScheduleScenario", func() (*scar.Result, error) {
-				return sched.ScheduleScenario(&sc, pkg, scar.EDPObjective())
-			}},
 		}
 		for _, leg := range legs {
 			res, err := leg.run()

@@ -21,31 +21,27 @@ import (
 // not a paper artifact): it drives the in-process serve.Service at
 // saturation with a configurable hit/miss mix and measures throughput
 // and latency percentiles of the serving layer itself — the sharded
-// cache, per-shard singleflight and padded counter blocks — against
-// the retained pre-sharding single-mutex implementation
-// (serve.Config.SingleMutex). Three mixes are measured:
+// cache, its per-shard singleflight and the service counters. Three
+// mixes are measured:
 //
 //   - "hit":   every request is a resident cache key. Isolates lock and
-//     counter contention; the win scales with real cores.
+//     counter contention.
 //   - "mixed": mostly hits plus a stream of unique *failing* keys (the
 //     churn a public daemon sees from malformed custom descriptions).
-//     In the legacy cache, in-flight entries count against the bound
-//     and eviction runs at insert, so each failing key evicts a
-//     resident schedule and forces a full re-search on its next hit —
-//     the working-set erosion shows up as searches_run > 0 and a
-//     throughput collapse. The sharded cache never counts in-flight
-//     entries, so its hit set stays resident.
+//     In-flight entries never count against the cache bound, so the
+//     failing keys cannot evict the resident hit set: searches_run
+//     stays 0. A cache that let them would force a full re-search on
+//     the evicted key's next hit.
 //   - "churn": failing keys only. Exercises the discard path (the
-//     legacy linear order-slice scan vs the LRU's O(1) unlink).
+//     LRU's O(1) unlink).
 //
 // The search budgets are pinned to a reduced profile (serveLoadOpts):
-// the generator measures the serving layer, and re-searches forced by
-// legacy erosion must cost milliseconds, not minutes. Its JSON output
-// is the checked-in BENCH_serve.json snapshot (regenerate with
-// `go run ./cmd/scarbench -exp serve -benchjson BENCH_serve.json`);
-// throughput numbers are hardware-dependent, the structural fields
-// (searches_run, error_ops) are not. With URL set the generator drives
-// a live daemon over HTTP instead (no baseline comparison).
+// the generator measures the serving layer, and any re-search must cost
+// milliseconds, not minutes. Its JSON output is the checked-in
+// BENCH_serve.json snapshot format (`go run ./cmd/scarbench -exp serve
+// -benchjson FILE`); throughput numbers are hardware-dependent, the
+// structural fields (searches_run, error_ops) are not. With URL set the
+// generator drives a live daemon over HTTP instead.
 
 // ServeLoadConfig parameterizes the load generator. Zero values take
 // the documented defaults.
@@ -56,8 +52,7 @@ type ServeLoadConfig struct {
 	Keys int
 	// Goroutines is the client concurrency. Default 4x GOMAXPROCS.
 	Goroutines int
-	// Duration is the measured interval per (implementation, mix)
-	// point. Default 2s.
+	// Duration is the measured interval per mix. Default 2s.
 	Duration time.Duration
 	// HitFraction is the mixed workload's share of cache-hit requests
 	// (the rest are unique failing keys). Default 0.95.
@@ -66,14 +61,13 @@ type ServeLoadConfig struct {
 	// the cache runs exactly at its bound, the steady state of a
 	// saturated public daemon.
 	MaxEntries int
-	// Shards configures the sharded implementation (0 = serve default).
+	// Shards configures the cache fan-out (0 = serve default).
 	Shards int
 	// MinGOMAXPROCS raises GOMAXPROCS for the measurement (restored
 	// afterwards); the acceptance gate measures at >= 8. Default 8.
 	MinGOMAXPROCS int
 	// URL, when set, drives a live scarserve daemon over HTTP instead
-	// of in-process services. Only the sharded (live) numbers are
-	// reported then.
+	// of in-process services.
 	URL string
 }
 
@@ -101,7 +95,7 @@ func (c ServeLoadConfig) withDefaults() ServeLoadConfig {
 	return c
 }
 
-// ServeLoadPoint is one measured (implementation, mix) operating point.
+// ServeLoadPoint is one measured mix operating point.
 type ServeLoadPoint struct {
 	// Mix is "hit", "mixed" or "churn"; HitFraction its hit share.
 	Mix         string  `json:"mix"`
@@ -112,8 +106,7 @@ type ServeLoadPoint struct {
 	ErrorOps int64 `json:"error_ops"`
 	// SearchesRun counts underlying schedule searches during the
 	// measured interval. Nonzero under "hit"/"mixed" means the resident
-	// working set was evicted and re-searched (the legacy erosion
-	// pathology); the sharded cache reports 0.
+	// working set was evicted and re-searched; the cache reports 0.
 	SearchesRun int64 `json:"searches_run"`
 	// DurationSec is the measured wall interval; ThroughputRPS the
 	// request rate over it.
@@ -125,20 +118,12 @@ type ServeLoadPoint struct {
 	P99Us float64 `json:"p99_us"`
 }
 
-// ServeLoadImpl is one implementation's curve across the mixes.
+// ServeLoadImpl is one measured service's curve across the mixes.
 type ServeLoadImpl struct {
-	// Impl is "sharded", "single-mutex" or "http".
+	// Impl is "sharded" (in process) or "http" (a live daemon).
 	Impl   string           `json:"impl"`
 	Shards int              `json:"shards"`
 	Points []ServeLoadPoint `json:"points"`
-}
-
-// ServeLoadSpeedup is the per-mix throughput ratio sharded/single-mutex.
-type ServeLoadSpeedup struct {
-	Mix         string  `json:"mix"`
-	Sharded     float64 `json:"sharded_rps"`
-	SingleMutex float64 `json:"single_mutex_rps"`
-	Speedup     float64 `json:"speedup"`
 }
 
 // ServeLoadResult is the load-generator snapshot.
@@ -153,12 +138,8 @@ type ServeLoadResult struct {
 	// searches at reduced budgets), across all points.
 	SetupMs float64 `json:"setup_ms"`
 	URL     string  `json:"url,omitempty"`
-	// Impls carries the sharded curve first, then the single-mutex
-	// baseline (in-process mode only).
+	// Impls carries the one measured curve.
 	Impls []ServeLoadImpl `json:"impls"`
-	// Speedups compares the two implementations per mix (in-process
-	// mode only).
-	Speedups []ServeLoadSpeedup `json:"speedups,omitempty"`
 }
 
 // serveLoadOpts pins the generator's search budgets to an intermediate
@@ -166,8 +147,7 @@ type ServeLoadResult struct {
 // serving layer, not the search, so re-searches must cost milliseconds
 // rather than the seconds-to-minutes of production budgets — but they
 // must still be expensive enough (~10ms warm on the zoo workload) that
-// losing a resident schedule is the pathology it is in production,
-// not lost in request-handling noise.
+// losing a resident schedule shows above request-handling noise.
 func (s *Suite) serveLoadOpts() core.Options {
 	opts := core.FastOptions()
 	opts.NSplits = 3
@@ -187,8 +167,8 @@ func (s *Suite) serveLoadOpts() core.Options {
 // shared across keys, so the cost database warms once and every
 // subsequent search — including an erosion-forced re-search — costs
 // search-machinery milliseconds, a floor far below the seconds-to-
-// minutes of production budgets. An implementation that loses resident
-// keys pays that floor; one that keeps them pays nanoseconds.
+// minutes of production budgets. A cache that loses resident keys pays
+// that floor; one that keeps them pays nanoseconds.
 func serveLoadHitRequest(i int) serve.Request {
 	wl := fmt.Sprintf(`{"name": "serve-bench-%05d", "models": [{"zoo": "resnet50"}, {"zoo": "bert-large"}, {"zoo": "unet"}]}`, i)
 	return serve.Request{WorkloadJSON: []byte(wl), Profile: "edge", Objective: "latency"}
@@ -253,46 +233,29 @@ func (s *Suite) ServeLoad(ctx context.Context, cfg ServeLoadConfig) (*ServeLoadR
 		return res, nil
 	}
 
-	for _, variant := range []struct {
-		impl string
-		cfgS serve.Config
-	}{
-		{"sharded", serve.Config{Shards: cfg.Shards, MaxCachedSchedules: cfg.MaxEntries}},
-		{"single-mutex", serve.Config{SingleMutex: true, MaxCachedSchedules: cfg.MaxEntries}},
-	} {
-		impl := ServeLoadImpl{Impl: variant.impl}
-		for _, mix := range mixes {
-			// Fresh service per point: a prior mix's churn must not
-			// leave an eroded cache behind. The suite cost database is
-			// shared, so only the first population pays cost-model
-			// warmup.
-			svc := serve.NewWithConfig(s.DB, s.serveLoadOpts(), variant.cfgS)
-			impl.Shards = svc.Stats().Shards
-			setup := time.Now()
-			for _, r := range hits {
-				if _, err := svc.Schedule(ctx, r); err != nil {
-					return nil, fmt.Errorf("experiments: serve: populate %s/%s: %w", variant.impl, mix.name, err)
-				}
+	impl := ServeLoadImpl{Impl: "sharded"}
+	for _, mix := range mixes {
+		// Fresh service per point: a prior mix's churn must not leave an
+		// eroded cache behind. The suite cost database is shared, so only
+		// the first population pays cost-model warmup.
+		svc := serve.NewWithConfig(s.DB, s.serveLoadOpts(), serve.Config{Shards: cfg.Shards, MaxCachedSchedules: cfg.MaxEntries})
+		impl.Shards = svc.Stats().Shards
+		setup := time.Now()
+		for _, r := range hits {
+			if _, err := svc.Schedule(ctx, r); err != nil {
+				return nil, fmt.Errorf("experiments: serve: populate %s: %w", mix.name, err)
 			}
-			res.SetupMs += float64(time.Since(setup).Microseconds()) / 1e3
-			before := svc.Stats().ScheduleCalls
-			pt := serveLoadDrive(cfg, mix.name, mix.hit, hits, func(r serve.Request) error {
-				_, err := svc.Schedule(ctx, r)
-				return err
-			})
-			pt.SearchesRun = svc.Stats().ScheduleCalls - before
-			impl.Points = append(impl.Points, pt)
 		}
-		res.Impls = append(res.Impls, impl)
+		res.SetupMs += float64(time.Since(setup).Microseconds()) / 1e3
+		before := svc.Stats().ScheduleCalls
+		pt := serveLoadDrive(cfg, mix.name, mix.hit, hits, func(r serve.Request) error {
+			_, err := svc.Schedule(ctx, r)
+			return err
+		})
+		pt.SearchesRun = svc.Stats().ScheduleCalls - before
+		impl.Points = append(impl.Points, pt)
 	}
-	for i, mix := range mixes {
-		sh, sm := res.Impls[0].Points[i], res.Impls[1].Points[i]
-		sp := ServeLoadSpeedup{Mix: mix.name, Sharded: sh.ThroughputRPS, SingleMutex: sm.ThroughputRPS}
-		if sm.ThroughputRPS > 0 {
-			sp.Speedup = sh.ThroughputRPS / sm.ThroughputRPS
-		}
-		res.Speedups = append(res.Speedups, sp)
-	}
+	res.Impls = []ServeLoadImpl{impl}
 	return res, nil
 }
 
@@ -407,8 +370,8 @@ func serveLoadPostHTTP(client *http.Client, url string, r serve.Request) error {
 	return nil
 }
 
-// Print renders the load-generator result as one table per
-// implementation plus the speedup summary.
+// Print renders the load-generator result as one table per measured
+// service.
 func (r *ServeLoadResult) Print(w io.Writer) {
 	fprintf(w, "Serve-layer load generator: GOMAXPROCS %d (%d CPUs), %d goroutines, %d keys, cache bound %d, %.2gs/point\n",
 		r.GOMAXPROCS, r.NumCPU, r.Goroutines, r.Keys, r.MaxEntries, r.DurationSec)
@@ -423,13 +386,6 @@ func (r *ServeLoadResult) Print(w io.Writer) {
 			fprintf(w, "%8s %5.0f%% %12d %12.0f %10d %10d %10.2f %10.2f %10.2f\n",
 				p.Mix, 100*p.HitFraction, p.Ops, p.ThroughputRPS, p.ErrorOps, p.SearchesRun,
 				p.P50Us, p.P95Us, p.P99Us)
-		}
-	}
-	if len(r.Speedups) > 0 {
-		fprintf(w, "\nsharded vs single-mutex throughput\n")
-		fprintf(w, "%8s %14s %14s %9s\n", "mix", "sharded req/s", "legacy req/s", "speedup")
-		for _, s := range r.Speedups {
-			fprintf(w, "%8s %14.0f %14.0f %8.2fx\n", s.Mix, s.Sharded, s.SingleMutex, s.Speedup)
 		}
 	}
 }

@@ -10,11 +10,10 @@ import (
 
 // TestServeLoadTinyConfig runs the serve-layer load generator at a
 // deliberately tiny operating point and checks the structural
-// (hardware-independent) properties of the snapshot: both
-// implementations measured over all three mixes, the sharded cache
-// immune to working-set erosion (searches_run == 0 off the churn mix),
-// error ops confined to the failing-key stream, and the JSON snapshot
-// round-tripping.
+// (hardware-independent) properties of the snapshot: the sharded cache
+// measured over all three mixes, immune to working-set erosion
+// (searches_run == 0 off the churn mix), error ops confined to the
+// failing-key stream, and the JSON snapshot round-tripping.
 func TestServeLoadTinyConfig(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load generator runs wall-clock intervals")
@@ -34,42 +33,33 @@ func TestServeLoadTinyConfig(t *testing.T) {
 		t.Errorf("GOMAXPROCS not restored after measurement: %d", runtime.GOMAXPROCS(0))
 	}
 
-	if len(res.Impls) != 2 || res.Impls[0].Impl != "sharded" || res.Impls[1].Impl != "single-mutex" {
+	if len(res.Impls) != 1 || res.Impls[0].Impl != "sharded" || res.Impls[0].Shards < 1 {
 		t.Fatalf("implementations: %+v", res.Impls)
 	}
-	if res.Impls[0].Shards < 1 || res.Impls[1].Shards != 1 {
-		t.Errorf("shard counts: sharded=%d legacy=%d", res.Impls[0].Shards, res.Impls[1].Shards)
-	}
 	wantMixes := []string{"hit", "mixed", "churn"}
-	for _, impl := range res.Impls {
-		if len(impl.Points) != len(wantMixes) {
-			t.Fatalf("%s measured %d mixes, want %d", impl.Impl, len(impl.Points), len(wantMixes))
-		}
-		for i, p := range impl.Points {
-			if p.Mix != wantMixes[i] {
-				t.Errorf("%s point %d mix %q, want %q", impl.Impl, i, p.Mix, wantMixes[i])
-			}
-			if p.Ops <= 0 || p.ThroughputRPS <= 0 {
-				t.Errorf("%s/%s measured no load: %+v", impl.Impl, p.Mix, p)
-			}
-			if p.Mix == "hit" && p.ErrorOps != 0 {
-				t.Errorf("%s/hit answered %d errors", impl.Impl, p.ErrorOps)
-			}
-			if p.Mix != "hit" && p.ErrorOps == 0 {
-				t.Errorf("%s/%s saw no failing keys", impl.Impl, p.Mix)
-			}
-		}
+	points := res.Impls[0].Points
+	if len(points) != len(wantMixes) {
+		t.Fatalf("measured %d mixes, want %d", len(points), len(wantMixes))
 	}
-	// The erosion invariant the tentpole fixes: on hit and mixed
-	// workloads the sharded cache keeps its working set resident, so
-	// zero searches run during the measured interval.
-	for _, p := range res.Impls[0].Points[:2] {
-		if p.SearchesRun != 0 {
-			t.Errorf("sharded/%s ran %d searches during measurement (working set eroded)", p.Mix, p.SearchesRun)
+	for i, p := range points {
+		if p.Mix != wantMixes[i] {
+			t.Errorf("point %d mix %q, want %q", i, p.Mix, wantMixes[i])
 		}
-	}
-	if len(res.Speedups) != len(wantMixes) {
-		t.Fatalf("speedups: %+v", res.Speedups)
+		if p.Ops <= 0 || p.ThroughputRPS <= 0 {
+			t.Errorf("%s measured no load: %+v", p.Mix, p)
+		}
+		if p.Mix == "hit" && p.ErrorOps != 0 {
+			t.Errorf("hit answered %d errors", p.ErrorOps)
+		}
+		if p.Mix != "hit" && p.ErrorOps == 0 {
+			t.Errorf("%s saw no failing keys", p.Mix)
+		}
+		// The erosion invariant: on hit and mixed workloads the cache
+		// keeps its working set resident, so zero searches run during
+		// the measured interval.
+		if p.Mix != "churn" && p.SearchesRun != 0 {
+			t.Errorf("%s ran %d searches during measurement (working set eroded)", p.Mix, p.SearchesRun)
+		}
 	}
 
 	var buf bytes.Buffer
@@ -80,7 +70,7 @@ func TestServeLoadTinyConfig(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("snapshot does not round-trip: %v", err)
 	}
-	if back.Keys != 6 || len(back.Impls) != 2 {
+	if back.Keys != 6 || len(back.Impls) != 1 {
 		t.Errorf("round-tripped snapshot lost fields: %+v", back)
 	}
 	res.Print(&buf) // must not panic

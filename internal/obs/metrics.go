@@ -15,10 +15,10 @@ import (
 // This file is the metrics core: a registry of counters, gauges and
 // fixed-bucket histograms built for a serve hot path that records
 // millions of observations per second. Writable instruments keep their
-// state in per-shard blocks spaced at least two cache lines apart (the
-// serve-layer counterBlock convention: two words >= 128 bytes apart can
-// never share a coherence line or an adjacent-line prefetch pair, so
-// one shard's increment never bounces another shard's line). A writer
+// state in per-shard blocks spaced at least two cache lines apart (two
+// words >= 128 bytes apart can never share a coherence line or an
+// adjacent-line prefetch pair, so one shard's increment never bounces
+// another shard's line). A writer
 // picks its shard through a sync.Pool slot — pools keep a per-P private
 // item, so a goroutine running on the same P keeps hitting the same
 // core-local block — and reads merge every block. Recording is
@@ -27,7 +27,7 @@ import (
 
 // cacheLine is the assumed coherence-granule size; shard strides are
 // padded to two lines so the adjacent-line prefetcher cannot couple
-// neighboring shards either (see internal/serve shard.go).
+// neighboring shards either.
 const cacheLine = 64
 
 // shardWords is one shard stride quantum in 8-byte words.
@@ -277,8 +277,8 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // CounterFunc registers a counter series whose value is read from fn
 // at exposition time — for monotonic totals already maintained
-// elsewhere (cache counters, costdb stats). Re-registering the same
-// series keeps the first fn.
+// elsewhere (costdb stats). Re-registering the same series keeps the
+// first fn.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
 	ins := r.lookup(name, help, kindCounterFunc, nil, labels)
 	if ins.fn == nil {

@@ -89,7 +89,7 @@ func (s *Service) Draining() bool { return s.draining.Load() }
 // checkAdmission is the shared front door of Schedule and Simulate.
 func (s *Service) checkAdmission() error {
 	if s.draining.Load() {
-		s.drainRejects.Add(1)
+		s.drainRejects.Inc()
 		return ErrDraining
 	}
 	return nil

@@ -9,9 +9,9 @@ import (
 // benchService builds a populated service for cache-path benchmarks:
 // nkeys resident schedules over a warm shared cost database, so the
 // measured loop is pure cache traffic.
-func benchService(b *testing.B, cfg Config, nkeys int) (*Service, []Request) {
+func benchService(b *testing.B, nkeys int) (*Service, []Request) {
 	b.Helper()
-	s := fastServiceWith(cfg)
+	s := fastService()
 	reqs := make([]Request, nkeys)
 	for i := range reqs {
 		wl := fmt.Sprintf(`{"name": "bench-%d", "models": [{"name": "m0", "layers": [{"name": "g0", "type": "gemm", "c": 16, "k": 16, "y": 16}]}]}`, i)
@@ -24,40 +24,29 @@ func benchService(b *testing.B, cfg Config, nkeys int) (*Service, []Request) {
 }
 
 // BenchmarkScheduleCacheHit measures the saturated cache-hit path —
-// the 100k+ RPS regime the shard refactor targets — on the sharded
-// cache and on the retained single-mutex baseline.
+// the 100k+ RPS regime the sharded cache targets.
 func BenchmarkScheduleCacheHit(b *testing.B) {
-	for _, impl := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"sharded", Config{}},
-		{"single-mutex", Config{SingleMutex: true}},
-	} {
-		b.Run(impl.name, func(b *testing.B) {
-			s, reqs := benchService(b, impl.cfg, 64)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					res, err := s.Schedule(context.Background(), reqs[i%len(reqs)])
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !res.Cached {
-						b.Fatal("benchmark key missed the cache")
-					}
-					i++
-				}
-			})
-		})
-	}
+	s, reqs := benchService(b, 64)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			res, err := s.Schedule(context.Background(), reqs[i%len(reqs)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Cached {
+				b.Fatal("benchmark key missed the cache")
+			}
+			i++
+		}
+	})
 }
 
-// BenchmarkStats measures the counter-merge read path (previously a
-// handful of shared atomics, now a sweep over padded per-shard blocks).
+// BenchmarkStats measures the Stats read path, which merges every
+// counter's shards.
 func BenchmarkStats(b *testing.B) {
-	s, _ := benchService(b, Config{}, 8)
+	s, _ := benchService(b, 8)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"example.com/scar/internal/online"
@@ -42,17 +43,23 @@ func FuzzScheduleRequestDecode(f *testing.F) {
 }
 
 // FuzzSimRequestDecode drives the /simulate request path through every
-// wire-boundary resolution step that runs before search work: policy
-// lookup, admission-control assembly, and arrival-process construction.
+// wire-boundary resolution step that runs before search work: count
+// bounds, policy lookup, admission-control assembly, and arrival-process
+// construction.
 func FuzzSimRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"classes":[{"scenario":1,"rate_per_sec":5}],"policy":"edf","horizon_sec":2}`))
 	f.Add([]byte(`{"classes":[{"scenario":2,"arrival_times":[0,0.5,1]}],"max_queue_depth":4,"shedder":"deadline-aware","shed_margin_sec":0.1}`))
 	f.Add([]byte(`{"classes":[{"scenario":1,"rate_per_sec":1,"arrival_times":[1]}]}`))
 	f.Add([]byte(`{"classes":[{"scenario":1}],"high_watermark":2,"low_watermark":9}`))
+	f.Add([]byte(`{"classes":[{"scenario":1,"rate_per_sec":1}],"packages":1000000000}`))
+	f.Add([]byte(`{"classes":[` + strings.Repeat(`{"scenario":1,"rate_per_sec":1},`, MaxSimClasses) + `{"scenario":1,"rate_per_sec":1}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req SimRequest
 		if err := decodeStrict(data, &req); err != nil {
 			t.Skip()
+		}
+		if err := req.validate(); err != nil {
+			return
 		}
 		_, _ = online.PolicyByName(req.Policy)
 		_, _ = req.admission()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"example.com/scar/internal/online"
@@ -228,6 +229,46 @@ func TestHTTPValidationRejects(t *testing.T) {
 	// started a search.
 	if st := svc.Stats(); st.ScheduleCalls != 0 || st.CachedSchedules != 0 || st.InflightSearches != 0 {
 		t.Errorf("invalid requests reached the cache: %+v", st)
+	}
+}
+
+// TestHTTPSimulateBounds pins /simulate's count limits: a packages
+// value or class list past MaxSimPackages / MaxSimClasses answers a
+// clean 400 before any search runs, while the limits themselves are
+// accepted.
+func TestHTTPSimulateBounds(t *testing.T) {
+	svc := fastService()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	class := fmt.Sprintf(`{"workload_json": %s, "profile": "edge", "rate_per_sec": 5}`, tinyWorkload)
+	classes := func(n int) string {
+		return "[" + strings.TrimSuffix(strings.Repeat(class+",", n), ",") + "]"
+	}
+	for _, tc := range []struct {
+		name, body, want string
+	}{
+		{"packages", fmt.Sprintf(`{"classes": %s, "packages": 1000000000}`, classes(1)), "packages exceed"},
+		{"classes", fmt.Sprintf(`{"classes": %s}`, classes(MaxSimClasses+1)), "classes exceed"},
+	} {
+		resp, data := postJSON(t, srv.URL+"/simulate", tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, data)
+			continue
+		}
+		var he httpError
+		if err := json.Unmarshal(data, &he); err != nil || !strings.Contains(he.Error, tc.want) {
+			t.Errorf("%s: error body %s does not mention %q", tc.name, data, tc.want)
+		}
+	}
+	if st := svc.Stats(); st.ScheduleCalls != 0 || st.Simulations != 0 {
+		t.Errorf("oversized simulations reached the search or the simulator: %+v", st)
+	}
+
+	resp, data := postJSON(t, srv.URL+"/simulate", fmt.Sprintf(
+		`{"classes": %s, "packages": %d, "max_requests_per_class": 2, "horizon_sec": 1e9}`, classes(MaxSimClasses), MaxSimPackages))
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("simulation at both limits: status %d (%s)", resp.StatusCode, data)
 	}
 }
 

@@ -1,12 +1,10 @@
 package serve
 
 // lruList is an intrusive doubly-linked recency list over cache
-// entries, most-recently-used at the front. It replaces the FIFO
-// `order` slice of the pre-sharding cache, whose removals were linear
-// scans (quadratic under churn of client-controlled failing keys):
-// every list operation here is O(1) pointer surgery on links embedded
-// in the entry itself, so no allocation and no scan ever happens on
-// the hit, discard or eviction paths.
+// entries, most-recently-used at the front. Every list operation is
+// O(1) pointer surgery on links embedded in the entry itself, so no
+// allocation and no scan ever happens on the hit, discard or eviction
+// paths, even under churn of client-controlled failing keys.
 //
 // Only *completed* entries are ever linked (in-flight entries are
 // unevictable and live solely in the shard map), and all operations

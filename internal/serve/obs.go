@@ -10,11 +10,11 @@ import (
 )
 
 // Observability wiring for the service: per-endpoint request metrics,
-// request-ID + tracing middleware, and the registry-level views of the
-// service's own counters. Metric recording on the request path costs
-// two uncontended atomic adds and zero allocations (internal/obs);
-// tracing and per-request logging only run when a tracer is configured
-// and the log level admits them.
+// request-ID + tracing middleware, and the service's own counters.
+// Metric recording on the request path costs two uncontended atomic
+// adds and zero allocations (internal/obs); tracing and per-request
+// logging only run when a tracer is configured and the log level admits
+// them.
 
 // statusClasses are the exposed status-class label values; index with
 // classIndex.
@@ -44,8 +44,8 @@ type endpointMetrics struct {
 var httpEndpoints = []string{"schedule", "simulate", "stats", "healthz", "metrics", "trace"}
 
 // initObs wires the service's observability state: per-endpoint
-// histograms/counters and registry views of the cache, admission and
-// cost-database counters. Called once from NewWithConfig.
+// histograms/counters, the service's cache and admission counters, and
+// registry views of the cost database. Called once from NewWithConfig.
 func (s *Service) initObs(o *obs.Obs) {
 	if o == nil {
 		o = obs.New(obs.Config{})
@@ -66,23 +66,16 @@ func (s *Service) initObs(o *obs.Obs) {
 		s.httpMetrics[ep] = em
 	}
 
-	// Service-level views: monotonic totals as counter funcs, state as
-	// gauge funcs, all read at scrape time from the same merged
-	// snapshots Stats() serves.
-	reg.CounterFunc("scar_schedule_requests_total", "Schedule calls (API and HTTP).",
-		func() float64 { return float64(s.cache.totals().requests) })
-	reg.CounterFunc("scar_schedule_searches_total", "Underlying searches actually run.",
-		func() float64 { return float64(s.cache.totals().scheduleCalls) })
-	reg.CounterFunc("scar_schedule_cache_hits_total", "Schedule requests served without a search.",
-		func() float64 { return float64(s.cache.totals().cacheHits) })
-	reg.CounterFunc("scar_simulations_total", "Simulate calls that reached the simulator.",
-		func() float64 { return float64(s.cache.totals().simulations) })
-	reg.CounterFunc("scar_saturated_rejects_total", "Requests shed with 429 while saturated.",
-		func() float64 { return float64(s.saturatedRejects.Load()) })
-	reg.CounterFunc("scar_degraded_answers_total", "Saturated requests answered from the stale store.",
-		func() float64 { return float64(s.degradedAnswers.Load()) })
-	reg.CounterFunc("scar_drain_rejects_total", "Requests rejected while draining.",
-		func() float64 { return float64(s.drainRejects.Load()) })
+	// The service's totals are registry counters, so Stats and /metrics
+	// read one source; the cost database and the service state are read
+	// at scrape time through func views.
+	s.requests = reg.Counter("scar_schedule_requests_total", "Schedule calls (API and HTTP).")
+	s.scheduleCalls = reg.Counter("scar_schedule_searches_total", "Underlying searches actually run.")
+	s.cacheHits = reg.Counter("scar_schedule_cache_hits_total", "Schedule requests served without a search.")
+	s.simulations = reg.Counter("scar_simulations_total", "Simulate calls that reached the simulator.")
+	s.saturatedRejects = reg.Counter("scar_saturated_rejects_total", "Requests shed with 429 while saturated.")
+	s.degradedAnswers = reg.Counter("scar_degraded_answers_total", "Saturated requests answered from the stale store.")
+	s.drainRejects = reg.Counter("scar_drain_rejects_total", "Requests rejected while draining.")
 	reg.CounterFunc("scar_costdb_hits_total", "Cost-database cache hits.",
 		func() float64 { h, _ := s.db.Stats(); return float64(h) })
 	reg.CounterFunc("scar_costdb_misses_total", "Cost-model computations performed.",

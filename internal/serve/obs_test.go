@@ -2,12 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"example.com/scar/internal/obs"
 	"example.com/scar/internal/online"
@@ -133,6 +137,90 @@ func TestHTTPMetricsExposition(t *testing.T) {
 	}
 	if strings.Contains(text, "NaN") || strings.Contains(text, "+Inf}  ") {
 		t.Errorf("malformed exposition:\n%s", text)
+	}
+}
+
+// TestStatsAgreeWithMetrics drives one service through every counted
+// outcome — a search, a hit, a simulation, a degraded answer, a
+// saturated reject and a drain reject — and asserts that each Stats
+// counter equals its scar_*_total series in the Prometheus exposition.
+func TestStatsAgreeWithMetrics(t *testing.T) {
+	fp, started, release := holdPoint("edp")
+	// One shard with a one-entry bound, so the second search evicts the
+	// first key's entry while its stale answer survives.
+	svc := fastServiceWith(Config{
+		Shards:                1,
+		MaxCachedSchedules:    1,
+		MaxConcurrentSearches: 1,
+		AdmissionWait:         20 * time.Millisecond,
+		FailPoints:            fp,
+	})
+	ctx := context.Background()
+	mustSchedule := func(r Request) {
+		t.Helper()
+		if _, err := svc.Schedule(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustSchedule(tinyRequestObj("latency")) // search
+	mustSchedule(tinyRequestObj("latency")) // hit
+	if _, err := svc.Simulate(ctx, SimRequest{
+		Classes:             []SimClass{{Request: tinyRequestObj("latency"), RatePerSec: 5}},
+		MaxRequestsPerClass: 5,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mustSchedule(tinyRequestObj("energy")) // search, evicts latency
+
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := svc.Schedule(ctx, tinyRequestObj("edp"))
+		leaderDone <- err
+	}()
+	<-started
+	if sr, err := svc.Schedule(ctx, tinyRequestObj("latency")); err != nil || !sr.Degraded {
+		t.Fatalf("evicted key while saturated: %+v, %v; want a degraded answer", sr, err)
+	}
+	unseen := tinyRequestObj("latency")
+	unseen.Width, unseen.Height = 2, 2
+	if _, err := svc.Schedule(ctx, unseen); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("unseen key while saturated: %v, want ErrSaturated", err)
+	}
+	close(release)
+	if err := <-leaderDone; err != nil {
+		t.Fatal(err)
+	}
+	svc.BeginDrain()
+	if _, err := svc.Schedule(ctx, tinyRequest()); !errors.Is(err, ErrDraining) {
+		t.Fatalf("draining: %v, want ErrDraining", err)
+	}
+
+	var buf bytes.Buffer
+	if err := svc.Obs().Metrics.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	series := map[string]string{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if name, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			series[name] = v
+		}
+	}
+	st := svc.Stats()
+	for name, got := range map[string]int64{
+		"scar_schedule_requests_total":   st.Requests,
+		"scar_schedule_searches_total":   st.ScheduleCalls,
+		"scar_schedule_cache_hits_total": st.CacheHits,
+		"scar_simulations_total":         st.Simulations,
+		"scar_saturated_rejects_total":   st.SaturatedRejects,
+		"scar_degraded_answers_total":    st.DegradedAnswers,
+		"scar_drain_rejects_total":       st.DrainRejects,
+	} {
+		if got == 0 {
+			t.Errorf("Stats counter behind %s is 0; the scenario did not exercise it", name)
+		}
+		if want := strconv.FormatInt(got, 10); series[name] != want {
+			t.Errorf("%s = %q on /metrics, Stats says %s", name, series[name], want)
+		}
 	}
 }
 

@@ -9,10 +9,9 @@
 //
 // The cache is sharded by key hash (shard.go): each power-of-two shard
 // carries its own mutex, its own singleflight slots and its own LRU
-// recency list, and the hot counters live in cache-line-padded
-// per-shard blocks merged on read, so the hit path of one key never
-// contends with another's. The pre-sharding single-mutex FIFO cache is
-// retained (legacy.go) as the scarbench -exp serve baseline.
+// recency list, so the hit path of one key never contends with
+// another's. The service's totals are internal/obs sharded counters,
+// read by both Stats and /metrics.
 //
 // Cancellation is per caller: a follower abandons its wait the moment
 // its own context dies while the shared search continues; a leader whose
@@ -81,6 +80,15 @@ type Request struct {
 // from an untrusted client is a denial-of-service lever, not a
 // scheduling request. The paper's largest package is 6x6.
 const MaxPackageDim = 32
+
+// MaxSimPackages and MaxSimClasses bound a /simulate request's replica
+// count and class list: the simulator sizes per-package state from the
+// former, and every class may cost a search, so neither may be
+// arbitrary client input.
+const (
+	MaxSimPackages = 1024
+	MaxSimClasses  = 64
+)
 
 // withDefaults resolves the request's implied fields.
 func (r Request) withDefaults() Request {
@@ -216,18 +224,12 @@ const DefaultMaxCachedSchedules = 1024
 // Config tunes the service's cache fabric. The zero value is the
 // production default.
 type Config struct {
-	// Shards is the cache/counter shard fan-out, rounded up to a power
-	// of two; 0 derives it from runtime.GOMAXPROCS (see
-	// defaultShardCount).
+	// Shards is the cache shard fan-out, rounded up to a power of two;
+	// 0 derives it from runtime.GOMAXPROCS (see defaultShardCount).
 	Shards int
 	// MaxCachedSchedules bounds resident completed schedules across all
 	// shards; 0 means DefaultMaxCachedSchedules.
 	MaxCachedSchedules int
-	// SingleMutex selects the retained pre-sharding cache (one global
-	// mutex, FIFO eviction, one shared counter block) instead of the
-	// sharded one. It exists as the baseline for scarbench -exp serve
-	// and regression tests; never enable it in production.
-	SingleMutex bool
 	// MaxConcurrentSearches caps leader searches running at once (0 =
 	// unlimited, the legacy fail-open behavior). Cache hits and
 	// followers deduplicated onto an in-flight search never need a
@@ -264,22 +266,23 @@ type Service struct {
 	// service starts answering requests.
 	requestTimeout time.Duration
 
-	cache   scheduleCache
+	cache   *shardedCache
 	started time.Time
 
 	// Admission control (admission.go): searchSem caps concurrent
 	// leader searches (nil = unlimited), admissionWait bounds the slot
 	// wait, stale remembers past answers for degraded serving, and
-	// draining flips on BeginDrain. The atomics are the shedding-state
-	// counters exposed through Stats.
-	searchSem        chan struct{}
-	admissionWait    time.Duration
-	failPoints       *FailPoints
-	stale            *staleStore
-	draining         atomic.Bool
-	saturatedRejects atomic.Int64
-	drainRejects     atomic.Int64
-	degradedAnswers  atomic.Int64
+	// draining flips on BeginDrain.
+	searchSem     chan struct{}
+	admissionWait time.Duration
+	failPoints    *FailPoints
+	stale         *staleStore
+	draining      atomic.Bool
+
+	// The service's totals, registered by initObs: Stats reads them and
+	// /metrics exposes them.
+	requests, scheduleCalls, cacheHits, simulations *obs.Counter
+	saturatedRejects, drainRejects, degradedAnswers *obs.Counter
 
 	// Observability (obs.go): the bundle, the pre-created per-endpoint
 	// instruments, and whether /metrics + /trace are mounted.
@@ -305,12 +308,6 @@ func NewWithConfig(db *costdb.DB, opts core.Options, cfg Config) *Service {
 	// once so cache keys honor the full (scenario, MCM, objective,
 	// options) tuple.
 	oh := sha256.Sum256([]byte(fmt.Sprintf("%+v", opts)))
-	var cache scheduleCache
-	if cfg.SingleMutex {
-		cache = newLegacyCache(cfg.MaxCachedSchedules)
-	} else {
-		cache = newShardedCache(cfg.Shards, cfg.MaxCachedSchedules)
-	}
 	maxStale := cfg.MaxCachedSchedules
 	if maxStale <= 0 {
 		maxStale = DefaultMaxCachedSchedules
@@ -322,7 +319,7 @@ func NewWithConfig(db *costdb.DB, opts core.Options, cfg Config) *Service {
 		db:            db,
 		opts:          opts,
 		optsKey:       "opts:" + hex.EncodeToString(oh[:8]),
-		cache:         cache,
+		cache:         newShardedCache(cfg.Shards, cfg.MaxCachedSchedules),
 		started:       time.Now(),
 		admissionWait: cfg.AdmissionWait,
 		failPoints:    cfg.FailPoints,
@@ -386,8 +383,7 @@ func (s *Service) Schedule(ctx context.Context, req Request) (*ScheduleResult, e
 	}
 	req = req.withDefaults()
 	key := req.key() + "|" + s.optsKey
-	c := s.cache.counters(key)
-	c.requests.Add(1)
+	s.requests.Inc()
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
@@ -422,7 +418,7 @@ func (s *Service) Schedule(ctx context.Context, req Request) (*ScheduleResult, e
 			if e.err != nil {
 				return nil, e.err
 			}
-			c.cacheHits.Add(1)
+			s.cacheHits.Inc()
 			return &ScheduleResult{Key: key, Cached: true, Scenario: &e.sc, MCM: e.pkg, Result: e.res}, nil
 		}
 
@@ -441,11 +437,11 @@ func (s *Service) Schedule(ctx context.Context, req Request) (*ScheduleResult, e
 			close(e.done)
 			if errors.Is(aerr, ErrSaturated) {
 				if st, ok := s.stale.get(key); ok {
-					s.degradedAnswers.Add(1)
+					s.degradedAnswers.Inc()
 					sc := st.sc
 					return &ScheduleResult{Key: key, Cached: true, Degraded: true, Scenario: &sc, MCM: st.pkg, Result: st.res}, nil
 				}
-				s.saturatedRejects.Add(1)
+				s.saturatedRejects.Inc()
 			}
 			return nil, aerr
 		}
@@ -454,7 +450,7 @@ func (s *Service) Schedule(ctx context.Context, req Request) (*ScheduleResult, e
 		}
 		if e.err == nil {
 			endSearch := rt.Phase("search")
-			e.sc, e.pkg, e.err = s.fill(ctx, e, req, c)
+			e.sc, e.pkg, e.err = s.fill(ctx, e, req)
 			endSearch()
 		}
 		release()
@@ -504,15 +500,13 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// fill runs the cache-miss path: materialize inputs, search. c is the
-// key's counter block (the search counter lives next to the key's
-// other hot counters).
-func (s *Service) fill(ctx context.Context, e *entry, req Request, c *counterBlock) (workload.Scenario, *mcm.MCM, error) {
+// fill runs the cache-miss path: materialize inputs, search.
+func (s *Service) fill(ctx context.Context, e *entry, req Request) (workload.Scenario, *mcm.MCM, error) {
 	sc, pkg, obj, err := req.build()
 	if err != nil {
 		return sc, pkg, err
 	}
-	c.scheduleCalls.Add(1)
+	s.scheduleCalls.Inc()
 	creq := core.NewRequest(&sc, pkg, obj)
 	if rt := obs.TraceFrom(ctx); rt != nil {
 		// Window-eval visibility through the existing progress hook:
@@ -583,6 +577,22 @@ type SimRequest struct {
 	// loop, aggregation. Informational: timings vary run to run while
 	// every other report field stays bit-identical.
 	CollectTiming bool `json:"collect_timing,omitempty"`
+}
+
+// validate rejects out-of-range class and package counts at the wire
+// boundary, before any search runs.
+func (r SimRequest) validate() error {
+	switch {
+	case len(r.Classes) == 0:
+		return fmt.Errorf("serve: simulation needs at least one class")
+	case len(r.Classes) > MaxSimClasses:
+		return fmt.Errorf("serve: %d simulation classes exceed the %d limit", len(r.Classes), MaxSimClasses)
+	case r.Packages < 0:
+		return fmt.Errorf("serve: negative package count %d", r.Packages)
+	case r.Packages > MaxSimPackages:
+		return fmt.Errorf("serve: %d packages exceed the %d limit", r.Packages, MaxSimPackages)
+	}
+	return nil
 }
 
 // admission resolves the request's admission-control fields, validating
@@ -657,16 +667,12 @@ func (s *Service) Simulate(ctx context.Context, req SimRequest) (*online.Report,
 	}
 	rt := obs.TraceFrom(ctx)
 	endResolve := rt.Phase("resolve")
-	if len(req.Classes) == 0 {
+	if err := req.validate(); err != nil {
 		endResolve()
-		return nil, fmt.Errorf("serve: simulation needs at least one class")
+		return nil, err
 	}
 	if req.HorizonSec <= 0 && req.MaxRequestsPerClass <= 0 {
 		req.MaxRequestsPerClass = 100
-	}
-	if req.Packages < 0 {
-		endResolve()
-		return nil, fmt.Errorf("serve: negative package count %d", req.Packages)
 	}
 	// Resolve the policy name and the admission block before scheduling
 	// any class, so a typo fails fast instead of after seconds of
@@ -719,7 +725,7 @@ func (s *Service) Simulate(ctx context.Context, req SimRequest) (*online.Report,
 	// Count only requests that reach the simulator: rejected ones —
 	// malformed classes, unknown policies, failed searches — count
 	// nowhere.
-	s.cache.simCounter().simulations.Add(1)
+	s.simulations.Inc()
 	endSim := rt.Phase("simulate")
 	rep, err := online.Simulate(ctx, online.Config{
 		Classes:             classes,
@@ -789,8 +795,8 @@ func (s *Service) scheduleClasses(ctx context.Context, classes []SimClass) ([]*S
 	return srs, nil
 }
 
-// Stats is a point-in-time service counter snapshot. The hot counters
-// live in per-shard padded blocks; this merges them.
+// Stats is a point-in-time service counter snapshot. Its totals read
+// the same obs counters /metrics exposes as scar_*_total.
 type Stats struct {
 	// Requests counts Schedule calls; ScheduleCalls the underlying
 	// searches actually run; CacheHits the requests served without one.
@@ -805,7 +811,7 @@ type Stats struct {
 	Simulations      int64 `json:"simulations"`
 	CachedSchedules  int   `json:"cached_schedules"`
 	InflightSearches int   `json:"inflight_searches"`
-	// Shards is the cache/counter shard fan-out.
+	// Shards is the cache shard fan-out.
 	Shards int `json:"shards"`
 	// CostEntries / CostHits / CostMisses snapshot the shared cost
 	// database (misses = cost-model computations performed).
@@ -838,22 +844,21 @@ type Stats struct {
 // Stats snapshots the service counters.
 func (s *Service) Stats() Stats {
 	completed, inflight := s.cache.sizes()
-	t := s.cache.totals()
 	hits, misses := s.db.Stats()
 	st := Stats{
-		Requests:         t.requests,
-		ScheduleCalls:    t.scheduleCalls,
-		CacheHits:        t.cacheHits,
-		Simulations:      t.simulations,
+		Requests:         s.requests.Value(),
+		ScheduleCalls:    s.scheduleCalls.Value(),
+		CacheHits:        s.cacheHits.Value(),
+		Simulations:      s.simulations.Value(),
 		CachedSchedules:  completed,
 		InflightSearches: inflight,
-		Shards:           s.cache.shardCount(),
+		Shards:           len(s.cache.shards),
 		CostEntries:      s.db.Size(),
 		CostHits:         hits,
 		CostMisses:       misses,
-		SaturatedRejects: s.saturatedRejects.Load(),
-		DegradedAnswers:  s.degradedAnswers.Load(),
-		DrainRejects:     s.drainRejects.Load(),
+		SaturatedRejects: s.saturatedRejects.Value(),
+		DegradedAnswers:  s.degradedAnswers.Value(),
+		DrainRejects:     s.drainRejects.Value(),
 		StaleSchedules:   s.stale.size(),
 		Draining:         s.draining.Load(),
 		UptimeSec:        time.Since(s.started).Seconds(),

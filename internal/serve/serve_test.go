@@ -311,44 +311,38 @@ func TestRequestKeyCoversInputs(t *testing.T) {
 
 func TestCacheEvictionBound(t *testing.T) {
 	// One shard so recency order is exact (multi-shard eviction is
-	// approximate global LRU); both cache implementations must respect
-	// the bound.
-	for _, cfg := range []Config{
-		{Shards: 1, MaxCachedSchedules: 2},
-		{SingleMutex: true, MaxCachedSchedules: 2},
-	} {
-		s := fastServiceWith(cfg)
-		reqs := []Request{}
-		for _, obj := range []string{"edp", "latency", "energy"} {
-			r := tinyRequest()
-			r.Objective = obj
-			reqs = append(reqs, r)
-		}
-		for _, r := range reqs {
-			if _, err := s.Schedule(context.Background(), r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if st := s.Stats(); st.CachedSchedules > 2 {
-			t.Fatalf("cache holds %d entries, bound is 2", st.CachedSchedules)
-		}
-		// The least recently used key (edp) was evicted: requesting it
-		// searches again; the newest (energy) is still cached.
-		before := s.Stats().ScheduleCalls
-		res, err := s.Schedule(context.Background(), reqs[2])
-		if err != nil {
+	// approximate global LRU).
+	s := fastServiceWith(Config{Shards: 1, MaxCachedSchedules: 2})
+	reqs := []Request{}
+	for _, obj := range []string{"edp", "latency", "energy"} {
+		r := tinyRequest()
+		r.Objective = obj
+		reqs = append(reqs, r)
+	}
+	for _, r := range reqs {
+		if _, err := s.Schedule(context.Background(), r); err != nil {
 			t.Fatal(err)
 		}
-		if !res.Cached || s.Stats().ScheduleCalls != before {
-			t.Error("newest entry should still be cached")
-		}
-		res, err = s.Schedule(context.Background(), reqs[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cached || s.Stats().ScheduleCalls != before+1 {
-			t.Error("evicted entry should have searched again")
-		}
+	}
+	if st := s.Stats(); st.CachedSchedules > 2 {
+		t.Fatalf("cache holds %d entries, bound is 2", st.CachedSchedules)
+	}
+	// The least recently used key (edp) was evicted: requesting it
+	// searches again; the newest (energy) is still cached.
+	before := s.Stats().ScheduleCalls
+	res, err := s.Schedule(context.Background(), reqs[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Cached || s.Stats().ScheduleCalls != before {
+		t.Error("newest entry should still be cached")
+	}
+	res, err = s.Schedule(context.Background(), reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cached || s.Stats().ScheduleCalls != before+1 {
+		t.Error("evicted entry should have searched again")
 	}
 }
 

@@ -7,74 +7,15 @@ import (
 	"sync/atomic"
 )
 
-// This file is the sharded cache fabric behind Service — the
-// Doppel-style contention split of what used to be one mutex-guarded
-// map: the key space is partitioned by hash across power-of-two shards,
-// each with its own mutex, its own singleflight protocol (the entry
-// done-channel handshake, now per shard) and its own recency list, so
-// concurrent requests for different keys never touch the same lock or
-// the same counter cache line. Only the completed-entry bound is
-// global, enforced by one atomic that changes at search rate (a few
-// per second), not at hit rate (millions per second).
-
-// cacheLine is the assumed coherence-granule size. Counter blocks are
-// padded to two lines so the adjacent-line prefetcher cannot couple
-// neighboring shards' counters either.
-const cacheLine = 64
-
-// counterBlock is one shard's hot counters. Each block is padded so
-// blocks of different shards never share a cache line: a counter
-// increment under load is then an uncontended atomic on a core-local
-// line instead of a fleet-wide bounce on one shared line. Blocks are
-// merged on read by Stats().
-type counterBlock struct {
-	requests      atomic.Int64
-	scheduleCalls atomic.Int64
-	cacheHits     atomic.Int64
-	simulations   atomic.Int64
-	_             [2*cacheLine - 32]byte
-}
-
-// counterTotals is the merged snapshot of all counter blocks.
-type counterTotals struct {
-	requests      int64
-	scheduleCalls int64
-	cacheHits     int64
-	simulations   int64
-}
-
-// scheduleCache is the concurrency fabric under Service: key-addressed
-// singleflight slots, bounded retention of completed entries, and the
-// service's hot counters. Two implementations exist — the sharded
-// production cache below and the retained pre-sharding single-mutex
-// cache (legacy.go), kept as the scarbench -exp serve baseline.
-type scheduleCache interface {
-	// counters returns the padded counter block the key's hot counters
-	// belong to (the key's shard, so increments spread with the load).
-	counters(key string) *counterBlock
-	// simCounter returns the block simulation counts go to (simulations
-	// run whole discrete-event sweeps, so this counter is cold).
-	simCounter() *counterBlock
-	// lookupOrStart returns the entry for key. created reports that no
-	// entry existed: the caller is now the leader of a new in-flight
-	// entry and must fill it, then call either complete or discard, and
-	// close(e.done). When created is false the caller is a follower (or
-	// a plain hit) and must wait on e.done before reading result fields.
-	lookupOrStart(key string) (e *entry, created bool)
-	// complete publishes a successfully filled entry: it becomes
-	// cacheable, recency-tracked and evictable. Leader-only, called
-	// before close(e.done).
-	complete(key string, e *entry)
-	// discard removes a failed or transient entry so the key can be
-	// retried. Leader-only, called before close(e.done).
-	discard(key string, e *entry)
-	// sizes reports resident completed entries and in-flight searches.
-	sizes() (completed, inflight int)
-	// totals merges every counter block.
-	totals() counterTotals
-	// shardCount reports the shard fan-out (1 for the legacy cache).
-	shardCount() int
-}
+// This file is the sharded schedule cache behind Service — the
+// Doppel-style contention split of one mutex-guarded map: the key space
+// is partitioned by hash across power-of-two shards, each with its own
+// mutex, its own singleflight protocol (the entry done-channel
+// handshake, per shard) and its own recency list, so concurrent
+// requests for different keys never touch the same lock. Only the
+// completed-entry bound is global, enforced by one atomic that changes
+// at search rate (a few per second), not at hit rate (millions per
+// second).
 
 // defaultShardCount derives the shard fan-out from GOMAXPROCS: the
 // next power of two at or above it, floored at 8 (daemons routinely
@@ -110,21 +51,20 @@ type cacheShard struct {
 	lru     lruList // completed entries only, MRU first
 }
 
-// shardedCache is the production scheduleCache.
+// shardedCache is Service's schedule cache: key-addressed singleflight
+// slots and bounded retention of completed entries.
 type shardedCache struct {
 	seed   maphash.Seed
 	mask   uint64
 	shards []*cacheShard
-	stats  []counterBlock // one padded block per shard
-	sim    counterBlock
 
 	// maxEntries bounds resident *completed* entries globally;
 	// completed tracks them. The bound is checked on complete (search
 	// rate) and never on the hit path, so the shared atomic stays cold.
 	// In-flight entries are never linked into any recency list and are
-	// therefore unevictable — and, unlike the legacy cache, they do not
-	// count against the bound, so a burst of transient failing keys
-	// cannot erode the resident working set.
+	// therefore unevictable — and they do not count against the bound,
+	// so a burst of transient failing keys cannot erode the resident
+	// working set.
 	maxEntries int64
 	completed  atomic.Int64
 	inflight   atomic.Int64
@@ -142,7 +82,6 @@ func newShardedCache(shards int, maxEntries int) *shardedCache {
 		seed:       maphash.MakeSeed(),
 		mask:       uint64(shards - 1),
 		shards:     make([]*cacheShard, shards),
-		stats:      make([]counterBlock, shards),
 		maxEntries: int64(maxEntries),
 	}
 	for i := range c.shards {
@@ -160,13 +99,12 @@ func (c *shardedCache) shardIndex(key string) uint64 {
 	return maphash.String(c.seed, key) & c.mask
 }
 
-//scar:hotpath
-func (c *shardedCache) counters(key string) *counterBlock {
-	return &c.stats[c.shardIndex(key)]
-}
-
-func (c *shardedCache) simCounter() *counterBlock { return &c.sim }
-
+// lookupOrStart returns the entry for key. created reports that no
+// entry existed: the caller is now the leader of a new in-flight entry
+// and must fill it, then call either complete or discard, and
+// close(e.done). When created is false the caller is a follower (or a
+// plain hit) and must wait on e.done before reading result fields.
+//
 // lookupOrStart's hit path — the singleflight fast path every cached
 // request takes — must not allocate; only the miss path below the
 // early return constructs state.
@@ -189,6 +127,9 @@ func (c *shardedCache) lookupOrStart(key string) (*entry, bool) {
 	return e, true
 }
 
+// complete publishes a successfully filled entry: it becomes cacheable,
+// recency-tracked and evictable. Leader-only, called before
+// close(e.done).
 func (c *shardedCache) complete(key string, e *entry) {
 	sh := c.shards[c.shardIndex(key)]
 	sh.mu.Lock()
@@ -212,6 +153,8 @@ func (c *shardedCache) complete(key string, e *entry) {
 	c.inflight.Add(-1)
 }
 
+// discard removes a failed or transient entry so the key can be
+// retried. Leader-only, called before close(e.done).
 func (c *shardedCache) discard(key string, e *entry) {
 	sh := c.shards[c.shardIndex(key)]
 	sh.mu.Lock()
@@ -222,19 +165,7 @@ func (c *shardedCache) discard(key string, e *entry) {
 	c.inflight.Add(-1)
 }
 
+// sizes reports resident completed entries and in-flight searches.
 func (c *shardedCache) sizes() (completed, inflight int) {
 	return int(c.completed.Load()), int(c.inflight.Load())
 }
-
-func (c *shardedCache) totals() counterTotals {
-	t := counterTotals{simulations: c.sim.simulations.Load()}
-	for i := range c.stats {
-		b := &c.stats[i]
-		t.requests += b.requests.Load()
-		t.scheduleCalls += b.scheduleCalls.Load()
-		t.cacheHits += b.cacheHits.Load()
-	}
-	return t
-}
-
-func (c *shardedCache) shardCount() int { return len(c.shards) }

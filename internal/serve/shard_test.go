@@ -61,7 +61,7 @@ func TestShardCountDerivation(t *testing.T) {
 		{0, defaultShardCount()}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16},
 	} {
 		c := newShardedCache(tc.in, 0)
-		if got := c.shardCount(); got != tc.want {
+		if got := len(c.shards); got != tc.want {
 			t.Errorf("shards(%d) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
@@ -74,14 +74,14 @@ func TestShardCountDerivation(t *testing.T) {
 func TestShardDistribution(t *testing.T) {
 	// Realistic cache keys must not collapse onto few shards.
 	c := newShardedCache(8, 0)
-	counts := make([]int, c.shardCount())
+	counts := make([]int, len(c.shards))
 	const n = 4096
 	for i := 0; i < n; i++ {
 		counts[c.shardIndex(fmt.Sprintf("sc%d|het-sides:3x3:edge|edp|opts:%08x", i%10, i))]++
 	}
 	for i, got := range counts {
-		if got < n/c.shardCount()/2 || got > n/c.shardCount()*2 {
-			t.Errorf("shard %d holds %d of %d keys (want near %d)", i, got, n, n/c.shardCount())
+		if got < n/len(c.shards)/2 || got > n/len(c.shards)*2 {
+			t.Errorf("shard %d holds %d of %d keys (want near %d)", i, got, n, n/len(c.shards))
 		}
 	}
 }
@@ -127,9 +127,8 @@ func failingRequest(nonce int) Request {
 
 // TestFailingKeyChurnAtBound is the removal-path regression: hammering
 // unique failing keys with the cache at its bound must neither grow the
-// cache nor evict the resident working set (in the sharded cache,
-// in-flight entries are unevictable AND uncounted), and every discard
-// is O(1) instead of the legacy order-slice scan.
+// cache nor evict the resident working set (in-flight entries are
+// unevictable AND uncounted), and every discard is an O(1) LRU unlink.
 func TestFailingKeyChurnAtBound(t *testing.T) {
 	const bound = 16
 	s := fastServiceWith(Config{MaxCachedSchedules: bound})
@@ -385,43 +384,9 @@ func TestSimulateDuplicateClassesDedup(t *testing.T) {
 	}
 }
 
-// TestSingleMutexServiceStillCorrect: the retained legacy cache must
-// stay functionally correct (it is the benchmark baseline), including
-// the singleflight contract.
-func TestSingleMutexServiceStillCorrect(t *testing.T) {
-	s := fastServiceWith(Config{SingleMutex: true})
-	const n = 8
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = s.Schedule(context.Background(), tinyRequest())
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.ScheduleCalls != 1 || st.CacheHits != n-1 {
-		t.Errorf("legacy singleflight: %d searches, %d hits (want 1, %d)", st.ScheduleCalls, st.CacheHits, n-1)
-	}
-	if st.Shards != 1 {
-		t.Errorf("legacy shards = %d, want 1", st.Shards)
-	}
-	if st.CachedSchedules != 1 || st.InflightSearches != 0 {
-		t.Errorf("legacy sizes: cached=%d inflight=%d", st.CachedSchedules, st.InflightSearches)
-	}
-}
-
 // TestShardCacheHitZeroAllocs pins the //scar:hotpath contract on the
 // singleflight hit path at runtime (hotalloc proves it statically):
-// looking up a completed entry and bumping the shard's hot counters
-// must not allocate.
+// looking up a completed entry must not allocate.
 func TestShardCacheHitZeroAllocs(t *testing.T) {
 	c := newShardedCache(8, 16)
 	const key = "alloc-pin"
@@ -438,10 +403,5 @@ func TestShardCacheHitZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("lookupOrStart hit path allocates %v/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() {
-		c.counters(key).requests.Add(1)
-	}); n != 0 {
-		t.Errorf("counter lookup+increment allocates %v/op, want 0", n)
 	}
 }

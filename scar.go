@@ -407,16 +407,6 @@ func (s *Scheduler) Schedule(ctx context.Context, req *Request) (*Result, error)
 	return s.inner.Schedule(ctx, req)
 }
 
-// ScheduleScenario runs the EDP-era positional form of Schedule with no
-// cancellation.
-//
-// Deprecated: build a Request and call Schedule(ctx, req) — it adds
-// cancellation, deadlines, per-request overrides and progress reporting.
-// ScheduleScenario remains as a thin wrapper for one migration cycle.
-func (s *Scheduler) ScheduleScenario(sc *Scenario, m *MCM, obj Objective) (*Result, error) {
-	return s.inner.Schedule(context.Background(), NewRequest(sc, m, obj))
-}
-
 // ScheduleUniformPacking is the packing-ablation variant (uniform
 // layer-to-window distribution instead of Algorithm 1), with the same
 // context contract as Schedule.
@@ -427,8 +417,8 @@ func (s *Scheduler) ScheduleUniformPacking(ctx context.Context, req *Request) (*
 // Session is a compiled handle for one (scenario, MCM) pair: it builds
 // the evaluation session once and serves every per-pair operation —
 // searching, scoring external schedules, timelines, link loads, the
-// paper baselines and simulator-class assembly — without recompiling per
-// call the way the deprecated positional Scheduler methods do.
+// paper baselines and simulator-class assembly — on one compiled
+// evaluation state.
 //
 // A Session is immutable after NewSession and safe for concurrent use.
 type Session struct {
@@ -531,30 +521,6 @@ func (ses *Session) SimClass(name string, sched *Schedule, arr Arrivals, slackFa
 	return online.NewClass(name, ses.ev, sched, arr, slackFactor)
 }
 
-// session builds a throwaway Session for the deprecated positional
-// wrappers below; errors surface lazily through the delegated call.
-func (s *Scheduler) session(sc *Scenario, m *MCM) *Session {
-	return &Session{sched: s, sc: sc, m: m, ev: eval.New(s.db, m, sc, s.opts.Eval)}
-}
-
-// Evaluate scores an externally built schedule on this scheduler's cost
-// database.
-//
-// Deprecated: use NewSession(sc, m).Evaluate(sched) — a Session compiles
-// the evaluation state once across calls instead of once per call.
-func (s *Scheduler) Evaluate(sc *Scenario, m *MCM, sched *Schedule) (Metrics, error) {
-	return s.session(sc, m).Evaluate(sched)
-}
-
-// Evaluator builds a reusable schedule evaluator for one (scenario, MCM)
-// pair on this scheduler's cost database.
-//
-// Deprecated: use NewSession(sc, m).Evaluator() — the session shares the
-// compiled state with every other per-pair operation.
-func (s *Scheduler) Evaluator(sc *Scenario, m *MCM) *Evaluator {
-	return s.session(sc, m).Evaluator()
-}
-
 // SaveCostDB writes the scheduler's warmed layer-cost database as a gob
 // stream, so a later process can LoadCostDB and skip cost-model warmup.
 func (s *Scheduler) SaveCostDB(w io.Writer) error { return s.db.Save(w) }
@@ -562,35 +528,6 @@ func (s *Scheduler) SaveCostDB(w io.Writer) error { return s.db.Save(w) }
 // LoadCostDB merges a previously saved cost-database snapshot; snapshots
 // calibrated with different cost-model constants are rejected.
 func (s *Scheduler) LoadCostDB(r io.Reader) error { return s.db.Load(r) }
-
-// Standalone runs the paper's Standalone baseline: one chiplet per model.
-//
-// Deprecated: use NewSession(sc, m).Standalone().
-func (s *Scheduler) Standalone(sc *Scenario, m *MCM) (*Schedule, Metrics, error) {
-	return s.session(sc, m).Standalone()
-}
-
-// NNBaton runs the NN-baton-style single-model baseline.
-//
-// Deprecated: use NewSession(sc, m).NNBaton().
-func (s *Scheduler) NNBaton(sc *Scenario, m *MCM) (*Schedule, Metrics, error) {
-	return s.session(sc, m).NNBaton()
-}
-
-// LinkLoads maps one window's inter-chiplet traffic onto the NoP links.
-//
-// Deprecated: use NewSession(sc, m).LinkLoads(w) — per-window calls on a
-// session share one compiled evaluation state.
-func (s *Scheduler) LinkLoads(sc *Scenario, m *MCM, w TimeWindow) map[Link]int64 {
-	return s.session(sc, m).LinkLoads(w)
-}
-
-// Timeline builds the execution trace of a schedule.
-//
-// Deprecated: use NewSession(sc, m).Timeline(sched).
-func (s *Scheduler) Timeline(sc *Scenario, m *MCM, sched *Schedule) *Timeline {
-	return s.session(sc, m).Timeline(sched)
-}
 
 // DefaultCostModelParams returns the calibrated cost-model constants.
 func DefaultCostModelParams() CostModelParams { return maestro.DefaultParams() }

@@ -33,7 +33,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("EDP = %v", res.Metrics.EDP)
 	}
 	// Re-evaluating the returned schedule reproduces its metrics.
-	again, err := sched.Evaluate(&sc, pkg, res.Schedule)
+	ses, err := sched.NewSession(&sc, pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := ses.Evaluate(res.Schedule)
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
@@ -64,11 +68,15 @@ func TestFacadeBaselines(t *testing.T) {
 	sched := scar.NewScheduler(scar.FastOptions())
 	sc, _ := scar.ScenarioByNumber(1)
 	pkg, _ := scar.MCMByName("simba-nvd", 3, 3, scar.DatacenterChiplet())
-	_, standalone, err := sched.Standalone(&sc, pkg)
+	ses, err := sched.NewSession(&sc, pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, standalone, err := ses.Standalone()
 	if err != nil {
 		t.Fatalf("Standalone: %v", err)
 	}
-	_, nnbaton, err := sched.NNBaton(&sc, pkg)
+	_, nnbaton, err := ses.NNBaton()
 	if err != nil {
 		t.Fatalf("NNBaton: %v", err)
 	}
@@ -172,9 +180,13 @@ func TestLinkLoadsThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ses, err := sched.NewSession(&sc, pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	total := int64(0)
 	for _, w := range res.Schedule.Windows {
-		for link, bytes := range sched.LinkLoads(&sc, pkg, w) {
+		for link, bytes := range ses.LinkLoads(w) {
 			if bytes <= 0 {
 				t.Errorf("non-positive link load on %+v", link)
 			}

@@ -2,70 +2,14 @@ package scar_test
 
 import (
 	"context"
-	"reflect"
 	"testing"
 	"time"
 
 	scar "example.com/scar"
 )
 
-// TestNewAPIBitIdenticalToDeprecated is the acceptance criterion: an
-// uncancelled Schedule(ctx, req) — and the Session form — returns
-// bit-identical results to the pre-context positional wrapper across
-// scenarios.
-func TestNewAPIBitIdenticalToDeprecated(t *testing.T) {
-	sched := scar.NewScheduler(scar.FastOptions())
-	for _, n := range []int{1, 6, 9} {
-		sc, err := scar.ScenarioByNumber(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		profile := scar.DatacenterChiplet()
-		if n >= 6 {
-			profile = scar.EdgeChiplet()
-		}
-		pkg, err := scar.MCMByName("het-sides", 3, 3, profile)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		old, err := sched.ScheduleScenario(&sc, pkg, scar.EDPObjective())
-		if err != nil {
-			t.Fatalf("scenario %d: deprecated wrapper: %v", n, err)
-		}
-		req, err := sched.Schedule(context.Background(), scar.NewRequest(&sc, pkg, scar.EDPObjective()))
-		if err != nil {
-			t.Fatalf("scenario %d: request API: %v", n, err)
-		}
-		ses, err := sched.NewSession(&sc, pkg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaSession, err := ses.Schedule(context.Background(), scar.EDPObjective())
-		if err != nil {
-			t.Fatalf("scenario %d: session API: %v", n, err)
-		}
-
-		for label, res := range map[string]*scar.Result{"request": req, "session": viaSession} {
-			if res.Partial {
-				t.Errorf("scenario %d: %s API reported Partial without cancellation", n, label)
-			}
-			if !reflect.DeepEqual(old.Schedule, res.Schedule) {
-				t.Errorf("scenario %d: %s API schedule differs from deprecated wrapper", n, label)
-			}
-			if !reflect.DeepEqual(old.Metrics, res.Metrics) {
-				t.Errorf("scenario %d: %s API metrics differ: %+v vs %+v", n, label, old.Metrics, res.Metrics)
-			}
-			if old.WindowEvals != res.WindowEvals || old.UniqueWindows != res.UniqueWindows {
-				t.Errorf("scenario %d: %s API stats differ: (%d,%d) vs (%d,%d)", n, label,
-					old.WindowEvals, old.UniqueWindows, res.WindowEvals, res.UniqueWindows)
-			}
-		}
-	}
-}
-
-// TestSessionUnifiesPerPairSurface: every Session method agrees with its
-// deprecated positional counterpart on one shared compiled state.
+// TestSessionUnifiesPerPairSurface: every per-pair operation runs on the
+// session's one shared compiled state.
 func TestSessionUnifiesPerPairSurface(t *testing.T) {
 	sched := scar.NewScheduler(scar.FastOptions())
 	sc, _ := scar.ScenarioByNumber(1)
@@ -89,28 +33,12 @@ func TestSessionUnifiesPerPairSurface(t *testing.T) {
 		t.Errorf("session Evaluate EDP %v != search %v", m.EDP, res.Metrics.EDP)
 	}
 
-	// Baselines agree with the deprecated wrappers.
-	_, sesStand, err := ses.Standalone()
-	if err != nil {
-		t.Fatal(err)
+	// Baselines run on the session state.
+	if _, _, err := ses.Standalone(); err != nil {
+		t.Errorf("Standalone: %v", err)
 	}
-	_, oldStand, err := sched.Standalone(&sc, pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sesStand, oldStand) {
-		t.Errorf("Standalone differs: %+v vs %+v", sesStand, oldStand)
-	}
-	_, sesNB, err := ses.NNBaton()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, oldNB, err := sched.NNBaton(&sc, pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sesNB, oldNB) {
-		t.Errorf("NNBaton differs: %+v vs %+v", sesNB, oldNB)
+	if _, _, err := ses.NNBaton(); err != nil {
+		t.Errorf("NNBaton: %v", err)
 	}
 
 	// LinkLoads and Timeline run on the session state.
