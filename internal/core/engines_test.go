@@ -193,7 +193,8 @@ func TestProvisionExhaustive(t *testing.T) {
 
 func TestEnumerateSegmentations(t *testing.T) {
 	// 4 layers, up to 2 segments: 1 + C(3,1) = 4 candidates.
-	cands := enumerateSegmentations(4, 2)
+	var cands [][]int
+	enumerateSegmentations(4, 2, func(ends []int) { cands = append(cands, slices.Clone(ends)) })
 	if len(cands) != 4 {
 		t.Fatalf("candidates = %d, want 4", len(cands))
 	}
@@ -231,7 +232,8 @@ func TestSegmentCandidatesSortedAndValid(t *testing.T) {
 	sc := workload.NewScenario("s", model)
 	expLat, expE := db.ExpectedLayers(&sc, pkg)
 	rng := rand.New(rand.NewSource(7))
-	cands := segmentCandidates(model.Batch, layerRange{0, 4}, 3, expLat[0], expE[0], outputBytes(&sc)[0], pkg, EDPObjective(), DefaultOptions(), rng)
+	// k = 100 exceeds the 1+4+6 candidates, so every candidate returns.
+	cands := segmentCandidates(model.Batch, layerRange{0, 4}, 3, 100, expLat[0], expE[0], outputBytes(&sc)[0], pkg, EDPObjective(), DefaultOptions(), rng, 7)
 	if len(cands) == 0 {
 		t.Fatal("no segmentation candidates")
 	}
@@ -256,7 +258,8 @@ func TestSampledSegmentationsRespectBounds(t *testing.T) {
 	for i := range lat {
 		lat[i] = float64(1 + i%7)
 	}
-	cands := sampledSegmentations(120, 5, lat, 50, rng)
+	var cands [][]int
+	sampledSegmentations(120, 5, lat, 50, rng, func(ends []int) { cands = append(cands, slices.Clone(ends)) })
 	if len(cands) == 0 {
 		t.Fatal("no sampled candidates")
 	}

@@ -148,8 +148,8 @@ func TestMemoCancelFromProgress(t *testing.T) {
 }
 
 // TestMemoSkipsAbortedSearch: a window search cut short by the stop
-// check still returns its anytime floor, marks the run truncated, and is
-// not memoized.
+// check still returns its anytime floor, marks the run truncated, counts
+// its leaf evaluations, and is not memoized.
 func TestMemoSkipsAbortedSearch(t *testing.T) {
 	db := costdb.New(maestro.DefaultParams())
 	req, opts := goldenCaseNamed(t, "brute/sc1/het-sides/edp").request(t)
@@ -165,6 +165,9 @@ func TestMemoSkipsAbortedSearch(t *testing.T) {
 	}
 	if !r.truncated.Load() {
 		t.Error("aborted search did not mark the run truncated")
+	}
+	if r.evals.Load() == 0 {
+		t.Error("aborted search's leaf evaluations not counted")
 	}
 	if len(r.memo.m) != 0 || r.unique.Load() != 0 {
 		t.Errorf("aborted search memoized: %d entries, %d unique windows", len(r.memo.m), r.unique.Load())

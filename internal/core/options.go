@@ -9,6 +9,8 @@
 package core
 
 import (
+	"fmt"
+
 	"example.com/scar/internal/eval"
 	"example.com/scar/internal/search"
 )
@@ -128,4 +130,20 @@ func FastOptions() Options {
 	o.MaxCombos = 8
 	o.WindowEvalBudget = 300
 	return o
+}
+
+// validate rejects search budgets the search cannot run with: it keeps
+// at least one segmentation per model and one combination per window,
+// and a negative tree count is meaningless (0 still plants the canonical
+// tree).
+func (o Options) validate() error {
+	switch {
+	case o.TopKSeg < 1:
+		return fmt.Errorf("core: Options.TopKSeg is %d, want at least 1", o.TopKSeg)
+	case o.MaxCombos < 1:
+		return fmt.Errorf("core: Options.MaxCombos is %d, want at least 1", o.MaxCombos)
+	case o.MaxTrees < 0:
+		return fmt.Errorf("core: Options.MaxTrees is %d, want at least 0", o.MaxTrees)
+	}
+	return nil
 }

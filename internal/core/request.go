@@ -135,16 +135,17 @@ type ProgressEvent struct {
 	// candidates finished vs planned.
 	CandidatesDone  int
 	CandidatesTotal int
-	// WindowEvals counts logical window evaluations so far (memoized
-	// ones included); UniqueWindows the distinct windows evaluated by
-	// window searches finished so far. Both are final once every
-	// candidate is done (see Result.UniqueWindows).
+	// WindowEvals counts the logical window evaluations of window
+	// searches finished so far (memoized ones included): it advances
+	// once per finished window search, not per evaluation, so a search
+	// still in flight is not in it yet. UniqueWindows counts the
+	// distinct windows those searches evaluated. Both are final once
+	// every candidate is done (see Result.UniqueWindows).
 	WindowEvals   int
 	UniqueWindows int
-	// CacheHitRate is the fraction of window evaluations served from
-	// memory so far, in [0, 1]. Mid-run it also counts the evaluations
-	// of window searches still in flight as served, so it can run high
-	// until the last candidate finishes.
+	// CacheHitRate is the fraction of WindowEvals served from memory so
+	// far, in [0, 1]. Both of its counts cover the same finished
+	// searches, so evaluations still in flight never count as served.
 	CacheHitRate float64
 	// BestScore is the current incumbent's objective score (+Inf until
 	// HasIncumbent); lower is better.

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -60,11 +61,12 @@ type treeResult struct {
 // interposer neighbors (the mapping-locality ablation).
 //
 // The search itself is serial and self-contained — evalWin scores leaf
-// windows (in a run it is the memoizing run.window bound to this task's
-// worker scratch; it must not retain the segment slice, which the search
-// mutates while backtracking), adj/chiplets carry the package shape, rng
-// is the task's private stream — which is what lets the scheduler fan
-// many treeSearch calls out across workers.
+// windows (in a run it is run.window bound to this task's worker
+// scratch, which evaluates every leaf directly unless the window search
+// is one of the few that can score a leaf twice; evalWin must not retain
+// the segment slice, which the search rewrites in place), adj/chiplets
+// carry the package shape, rng is the task's private stream — which is
+// what lets the scheduler fan many treeSearch calls out across workers.
 //
 // stop (optional) is polled after every leaf evaluation: once it reports
 // true the search unwinds and returns its incumbent with aborted set.
@@ -101,9 +103,19 @@ func treeSearch(
 		perTree = 4
 	}
 
+	// Every plan's segments sit at fixed offsets of segs, in plan order;
+	// the walk only rewrites their chiplets.
 	nsegs := 0
 	for _, p := range ordered {
 		nsegs += p.numSegments()
+	}
+	base := make([]int, len(ordered))
+	segs := make([]eval.Segment, 0, nsegs)
+	for k, p := range ordered {
+		base[k] = len(segs)
+		for q := range p.numSegments() {
+			segs = append(segs, p.segmentAt(q, 0))
+		}
 	}
 	t := treeWalk{
 		evalWin: evalWin,
@@ -113,7 +125,8 @@ func treeSearch(
 		plans:   ordered,
 		next:    successors(adj, freePlacement),
 		used:    make([]bool, chiplets),
-		segs:    make([]eval.Segment, 0, nsegs),
+		segs:    segs,
+		base:    base,
 		res:     treeResult{score: math.Inf(1)},
 	}
 	for _, roots := range tuples {
@@ -161,9 +174,10 @@ func successors(adj [][]bool, freePlacement bool) [][]int {
 	return out
 }
 
-// treeWalk is one treeSearch call's DFS state. segs holds the placed
-// segments of every planted subtree, in plan order, and grows and shrinks
-// in place as the walk descends and backtracks.
+// treeWalk is one treeSearch call's DFS state. segs holds every plan's
+// segments in plan order, plan k's from base[k] on; the walk writes a
+// segment's chiplet as it places it, so at a leaf segs is the whole
+// window.
 type treeWalk struct {
 	evalWin func(segs []eval.Segment) eval.WindowEval
 	obj     Objective
@@ -173,6 +187,7 @@ type treeWalk struct {
 	next    [][]int
 	used    []bool
 	segs    []eval.Segment
+	base    []int
 	roots   []int
 	left    int
 	res     treeResult
@@ -195,10 +210,10 @@ func (t *treeWalk) assign(k int) {
 	t.res.evals++
 	t.left--
 	if score < t.res.score {
-		// Snapshot only improvements: segs' backing array is rewritten
-		// as the DFS backtracks.
+		// Snapshot only improvements, into one buffer: the walk
+		// rewrites segs in place.
 		t.res.score = score
-		t.res.segments = append([]eval.Segment(nil), t.segs...)
+		t.res.segments = append(t.res.segments[:0], t.segs...)
 		t.res.found = true
 	}
 	if t.stop != nil && t.stop() {
@@ -209,7 +224,7 @@ func (t *treeWalk) assign(k int) {
 // extend places plan k's segment q on chiplet cur (already marked used),
 // then either plants the next subtree or walks on to every free successor.
 func (t *treeWalk) extend(k, q, cur int) {
-	t.segs = append(t.segs, t.plans[k].segmentAt(q, cur))
+	t.segs[t.base[k]+q].Chiplet = cur
 	if q+1 == t.plans[k].numSegments() {
 		t.assign(k + 1)
 	} else {
@@ -225,7 +240,6 @@ func (t *treeWalk) extend(k, q, cur int) {
 			t.used[next] = false
 		}
 	}
-	t.segs = t.segs[:len(t.segs)-1]
 }
 
 // rootTuples generates up to maxTrees injective chiplet tuples of the
@@ -243,18 +257,25 @@ func rootTuples(chiplets, arity, maxTrees int, rng *rand.Rand) [][]int {
 		space *= chiplets - i
 	}
 	// Accepted tuples are copied into one backing array sized for all of
-	// them, so only an accepted tuple's dedup key allocates.
+	// them. keys[i] packs out[i] into width-bit fields; on wide tuples
+	// the packing overflows and two tuples can share a key, so a key
+	// match is confirmed element by element.
 	n := min(maxTrees, space)
 	flat := make([]int, 0, n*arity)
 	out := make([][]int, 0, n)
-	seen := make(map[string]bool, n)
-	var key []byte
+	keys := make([]uint64, 0, n)
+	width := bits.Len(uint(chiplets - 1))
 	add := func(t []int) {
-		key = appendIntsKey(key[:0], t)
-		if seen[string(key)] {
-			return
+		var key uint64
+		for _, c := range t {
+			key = key<<width | uint64(c)
 		}
-		seen[string(key)] = true
+		for i, k := range keys {
+			if k == key && slices.Equal(out[i], t) {
+				return
+			}
+		}
+		keys = append(keys, key)
 		flat = append(flat, t...)
 		out = append(out, flat[len(flat)-arity:len(flat):len(flat)])
 	}

@@ -93,14 +93,17 @@ type CandidateMetrics struct {
 // workerState is one pool worker's private evaluation state: a compiled-
 // session Scratch, a reusable memo-key buffer, an RNG that each task
 // re-seeds with its own derived seed (re-seeding yields the same stream
-// as a fresh generator) and the count of real WindowEval calls the worker
-// made. The pool guarantees no two concurrently-running tasks share a
-// worker id, so access is race-free without locks.
+// as a fresh generator), the count of leaf evaluations the worker was
+// asked for (it paces the context poll) and the count of real
+// WindowEval calls it made. The pool guarantees no two
+// concurrently-running tasks share a worker id, so access is race-free
+// without locks.
 type workerState struct {
-	scratch *eval.Scratch
-	key     []byte
-	rng     *rand.Rand
-	calls   int
+	scratch   *eval.Scratch
+	key       []byte
+	rng       *rand.Rand
+	leafEvals int
+	calls     int
 }
 
 // run bundles one scheduling invocation's state. All of it is either
@@ -200,19 +203,20 @@ func (r *run) stop() bool {
 func (r *run) searchStop() bool { return r.stopped.Load() }
 
 // window evaluates one leaf of a window search with the given worker's
-// scratch state, counting the logical evaluation. With a nil leaves cache
+// scratch state. The search counts its own leaves and memoWindow adds
+// them to the run's total once the search ends. With a nil leaves cache
 // it evaluates directly: no key, map or lock. Otherwise probes reuse the
 // worker's key buffer, and the cache stores the pointer-free
 // eval.WindowEval, so only a miss allocates (the stored key). Every 32nd
-// evaluation polls the run context so cancellation is observed within
-// tens of microseconds of search work without putting ctx.Err on every
-// evaluation.
+// evaluation on a worker polls the run context so cancellation is
+// observed within tens of microseconds of search work without putting
+// ctx.Err on every evaluation.
 func (r *run) window(worker int, leaves *windowCache, segs []eval.Segment) eval.WindowEval {
-	n := r.evals.Add(1)
-	if n&31 == 0 && !r.stopped.Load() && r.ctx.Err() != nil {
+	ws := &r.workers[worker]
+	ws.leafEvals++
+	if ws.leafEvals&31 == 0 && !r.stopped.Load() && r.ctx.Err() != nil {
 		r.stopped.Store(true)
 	}
-	ws := &r.workers[worker]
 	if leaves == nil {
 		ws.calls++
 		return r.comp.WindowEval(ws.scratch, eval.TimeWindow{Segments: segs})
@@ -278,6 +282,9 @@ func (s *Scheduler) Schedule(ctx context.Context, req *Request) (*Result, error)
 		return nil, fmt.Errorf("core: schedule request not started: %w", err)
 	}
 	opts := req.apply(s.opts)
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	r := s.newRun(ctx, req, opts)
 	cands := candidatePartitionings(r.expLat, opts.NSplits, opts.ExactSplits)
 	return s.searchPartitionings(r, cands)
@@ -294,6 +301,9 @@ func (s *Scheduler) ScheduleUniformPacking(ctx context.Context, req *Request) (*
 		return nil, fmt.Errorf("core: schedule request not started: %w", err)
 	}
 	opts := req.apply(s.opts)
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	r := s.newRun(ctx, req, opts)
 	lo := 0
 	if opts.ExactSplits {
@@ -445,8 +455,9 @@ func (s *Scheduler) buildSchedule(r *run, self int, p partitioning) (*eval.Sched
 // memoWindow returns one window's search result through the run's window
 // memo (see windowMemo): a repeat of a finished search returns a clone of
 // its segments and counts its logical evaluations without running it. A
-// new search gets a leaf cache only when it can score one leaf twice,
-// and adds its distinct leaves to UniqueWindows once it is stored.
+// new search gets a leaf cache only when it can score one leaf twice. It
+// adds its leaf evaluations to WindowEvals once it ends, aborted or not,
+// and its distinct leaves to UniqueWindows once it is stored.
 func (s *Scheduler) memoWindow(r *run, self int, w windowAssignment) ([]eval.Segment, error) {
 	ws := &r.workers[self]
 	ws.key = appendAssignmentKey(ws.key[:0], w)
@@ -468,6 +479,7 @@ func (s *Scheduler) memoWindow(r *run, self int, w windowAssignment) ([]eval.Seg
 	} else {
 		out = s.searchWindow(r, self, w, seed, leaves)
 	}
+	r.evals.Add(int64(out.evals))
 	if out.aborted {
 		r.truncated.Store(true)
 		return out.segs, out.err
@@ -546,18 +558,11 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 		// SEG: top-k segmentation candidates per model (Heuristic 1).
 		topk := make([][]segCandidate, len(active))
 		for i, mi := range active {
-			rg := w[mi]
-			segRng.Seed(mixSeed(seed, 1, int64(ai), int64(i)))
-			cands := segmentCandidates(
-				r.sc.Models[mi].Batch, rg, alloc[i],
+			topk[i] = segmentCandidates(
+				r.sc.Models[mi].Batch, w[mi], alloc[i], r.opts.TopKSeg,
 				r.expLat[mi], r.expE[mi], r.outB[mi],
-				r.m, r.obj, r.opts, segRng,
+				r.m, r.obj, r.opts, segRng, mixSeed(seed, 1, int64(ai), int64(i)),
 			)
-			k := r.opts.TopKSeg
-			if k > len(cands) {
-				k = len(cands)
-			}
-			topk[i] = cands[:k]
 		}
 
 		// SCHED: rank segmentation combinations by independent-score

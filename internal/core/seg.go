@@ -26,16 +26,22 @@ type segCandidate struct {
 
 func (c segCandidate) numSegments() int { return len(c.ends) }
 
-// segmentCandidates enumerates and scores segmentations of a model's
-// window range into at most maxSegs segments; batch is the model's batch
-// size. When the space C(L-1, s-1) summed over s exceeds
-// opts.SegEnumLimit, it falls back to cost-balanced splits plus seeded
-// random samples (the bounded-search analogue of the paper's complexity
-// management).
+// segmentCandidates returns the k best segmentations of a model's window
+// range into at most maxSegs segments, best first; batch is the model's
+// batch size. When the space C(L-1, s-1) summed over s exceeds
+// opts.SegEnumLimit, it falls back to cost-balanced splits plus random
+// samples drawn from rng, which it seeds with seed first (the
+// bounded-search analogue of the paper's complexity management); the
+// enumerated branch never draws.
+//
+// Candidates are scored as they are generated and stream into a k-slot
+// list ordered by score, ties in generation order, so the list is exactly
+// the first k of a stable sort of every deduplicated candidate. Only kept
+// candidates are copied.
 func segmentCandidates(
-	batch int, r layerRange, maxSegs int,
+	batch int, r layerRange, maxSegs, k int,
 	expLat, expEnergy, outBytes []float64, // per-layer, window-relative is [r.First..r.Last]
-	m *mcm.MCM, obj Objective, opts Options, rng *rand.Rand,
+	m *mcm.MCM, obj Objective, opts Options, rng *rand.Rand, seed int64,
 ) []segCandidate {
 	l := r.numLayers()
 	if maxSegs > l {
@@ -46,24 +52,78 @@ func segmentCandidates(
 	}
 
 	lat := expLat[r.First : r.Last+1]
-	eng := expEnergy[r.First : r.Last+1]
 	xfer := outBytes[r.First : r.Last+1]
+	var energy float64
+	for _, e := range expEnergy[r.First : r.Last+1] {
+		energy += e
+	}
 
-	spaceSize := segSpaceSize(l, maxSegs, opts.SegEnumLimit)
-	var cands [][]int
-	if spaceSize <= opts.SegEnumLimit {
-		cands = enumerateSegmentations(l, maxSegs)
+	// The top-k never holds more than the candidates generated.
+	space := segSpaceSize(l, maxSegs, opts.SegEnumLimit)
+	enumerate := space <= opts.SegEnumLimit
+	if !enumerate {
+		space = 2*maxSegs + max(opts.SegSamples, 0)
+	}
+	top := newSegTopK(min(k, space), maxSegs)
+	offer := func(ends []int) {
+		top.offer(ends, scoreSegmentation(batch, ends, lat, energy, xfer, m, obj))
+	}
+	if enumerate {
+		enumerateSegmentations(l, maxSegs, offer)
 	} else {
-		cands = sampledSegmentations(l, maxSegs, lat, opts.SegSamples, rng)
+		rng.Seed(seed)
+		sampledSegmentations(l, maxSegs, lat, opts.SegSamples, rng, offer)
 	}
+	return top.kept
+}
 
-	out := make([]segCandidate, 0, len(cands))
-	for _, ends := range cands {
-		score := scoreSegmentation(batch, ends, lat, eng, xfer, m, obj)
-		out = append(out, segCandidate{ends: ends, score: score})
+// segTopK keeps the k lowest-scoring distinct segmentations offered to it,
+// sorted by cmp.Compare on the score with ties in offer order. Each kept
+// candidate owns a maxSegs-capacity slot of one backing array, and an
+// evicted candidate's slot is reused by the one that evicts it.
+type segTopK struct {
+	kept    []segCandidate
+	backing []int
+	maxSegs int
+}
+
+func newSegTopK(k, maxSegs int) segTopK {
+	return segTopK{
+		kept:    make([]segCandidate, 0, k),
+		backing: make([]int, k*maxSegs),
+		maxSegs: maxSegs,
 	}
-	slices.SortStableFunc(out, func(a, b segCandidate) int { return cmp.Compare(a.score, b.score) })
-	return out
+}
+
+// offer considers one candidate; ends is copied if kept. A candidate equal
+// to a kept one is dropped. That is all the deduplication a stable top-k
+// needs: a repeat of a candidate that is not kept ties its first
+// occurrence on score and comes later, and k kept entries already precede
+// that first occurrence, so the repeat is rejected on score alone.
+func (t *segTopK) offer(ends []int, score float64) {
+	n := len(t.kept)
+	full := n == cap(t.kept)
+	if full && cmp.Compare(score, t.kept[n-1].score) >= 0 {
+		return
+	}
+	for _, c := range t.kept {
+		if slices.Equal(c.ends, ends) {
+			return
+		}
+	}
+	at := n
+	for at > 0 && cmp.Compare(score, t.kept[at-1].score) < 0 {
+		at--
+	}
+	var slot []int
+	if full {
+		slot = t.kept[n-1].ends[:0]
+	} else {
+		slot = t.backing[n*t.maxSegs : n*t.maxSegs : (n+1)*t.maxSegs]
+		t.kept = t.kept[:n+1]
+	}
+	copy(t.kept[at+1:], t.kept[at:len(t.kept)-1])
+	t.kept[at] = segCandidate{ends: append(slot, ends...), score: score}
 }
 
 // segSpaceSize computes sum_{s=1..maxSegs} C(l-1, s-1), saturating at
@@ -86,50 +146,41 @@ func segSpaceSize(l, maxSegs, limit int) int {
 	return total
 }
 
-// enumerateSegmentations lists every split of l layers into 1..maxSegs
-// contiguous segments as end-offset vectors. The vectors share one
-// backing array.
-func enumerateSegmentations(l, maxSegs int) [][]int {
-	var flat, offs []int
-	ends := make([]int, 0, maxSegs)
-	var rec func(start, segsLeft int)
-	rec = func(start, segsLeft int) {
-		if segsLeft == 1 {
-			flat = append(append(flat, ends...), l-1)
-			offs = append(offs, len(flat))
-			return
-		}
-		for end := start; end < l-1; end++ {
-			ends = append(ends, end)
-			rec(end+1, segsLeft-1)
-			ends = ends[:len(ends)-1]
-		}
-	}
+// enumerateSegmentations visits every split of l layers into 1..maxSegs
+// contiguous segments as an end-offset vector, by segment count and then
+// in lexicographic order of the cuts. visit must not retain the vector,
+// which is rewritten in place.
+func enumerateSegmentations(l, maxSegs int, visit func(ends []int)) {
+	ends := make([]int, maxSegs)
 	for s := 1; s <= maxSegs; s++ {
-		rec(0, s)
+		e := ends[:s]
+		for i := range s - 1 {
+			e[i] = i
+		}
+		e[s-1] = l - 1
+		for {
+			visit(e)
+			// Advance the rightmost cut that still has room, then pack
+			// the cuts after it against it. Cut i is at most l-s+i.
+			i := s - 2
+			for i >= 0 && e[i] == l-s+i {
+				i--
+			}
+			if i < 0 {
+				break
+			}
+			e[i]++
+			for j := i + 1; j < s-1; j++ {
+				e[j] = e[j-1] + 1
+			}
+		}
 	}
-	out := make([][]int, len(offs))
-	start := 0
-	for i, end := range offs {
-		out[i] = flat[start:end:end]
-		start = end
-	}
-	return out
 }
 
-// sampledSegmentations produces cost-balanced splits for each segment
-// count plus seeded random cut sets, deduplicated in first-seen order.
-func sampledSegmentations(l, maxSegs int, lat []float64, samples int, rng *rand.Rand) [][]int {
-	seen := map[string]bool{}
-	var out [][]int
-	var key []byte
-	add := func(ends []int) {
-		key = appendIntsKey(key[:0], ends)
-		if !seen[string(key)] {
-			seen[string(key)] = true
-			out = append(out, slices.Clone(ends))
-		}
-	}
+// sampledSegmentations visits cost-balanced splits for each segment
+// count, then random cut sets drawn from rng. It visits repeats too;
+// segTopK drops them. visit must not retain the vector.
+func sampledSegmentations(l, maxSegs int, lat []float64, samples int, rng *rand.Rand, visit func(ends []int)) {
 	var total float64
 	for _, v := range lat {
 		total += v
@@ -147,7 +198,7 @@ func sampledSegmentations(l, maxSegs int, lat []float64, samples int, rng *rand.
 				ends = append(ends, i)
 			}
 		}
-		add(append(ends, l-1))
+		visit(append(ends, l-1))
 		// Balance by layer count.
 		ends = ends[:0]
 		for q := 1; q < s; q++ {
@@ -156,7 +207,7 @@ func sampledSegmentations(l, maxSegs int, lat []float64, samples int, rng *rand.
 				ends = append(ends, e)
 			}
 		}
-		add(append(ends, l-1))
+		visit(append(ends, l-1))
 	}
 	for i := 0; i < samples; i++ {
 		// s-1 distinct random cuts, drawn until that many are distinct.
@@ -168,9 +219,8 @@ func sampledSegmentations(l, maxSegs int, lat []float64, samples int, rng *rand.
 			}
 		}
 		slices.Sort(ends)
-		add(append(ends, l-1))
+		visit(append(ends, l-1))
 	}
-	return out
 }
 
 // scoreSegmentation is Heuristic 1's independent per-model proxy: a
@@ -178,10 +228,11 @@ func sampledSegmentations(l, maxSegs int, lat []float64, samples int, rng *rand.
 // latencies are the per-segment expected sums; the pipeline bottleneck
 // dominates at high batch while the fill time dominates at batch 1; each
 // cut adds a NoP transfer of the boundary activation, whose size the
-// window-relative outBytes holds per layer.
+// window-relative outBytes holds per layer. energy is the window's
+// expected energy, the same for every candidate.
 func scoreSegmentation(
 	modelBatch int, ends []int,
-	lat, eng, outBytes []float64, m *mcm.MCM, obj Objective,
+	lat []float64, energy float64, outBytes []float64, m *mcm.MCM, obj Objective,
 ) float64 {
 	batch := float64(modelBatch)
 	var sumStages, maxStage, xferLat, xferPJ float64
@@ -205,12 +256,7 @@ func scoreSegmentation(
 	// Pipeline proxy: fill with the full sum once, then the bottleneck
 	// amortized over the batch.
 	pipeLat := maxStage + (sumStages-maxStage)/batch + xferLat
-	var totalPJ float64
-	for _, e := range eng {
-		totalPJ += e
-	}
-	totalPJ += xferPJ
-	return obj.proxy(pipeLat, totalPJ)
+	return obj.proxy(pipeLat, energy+xferPJ)
 }
 
 // outputBytes tabulates every layer's output activation size at its
