@@ -192,7 +192,7 @@ func (s *Scheduler) searchWindowEvo(r *run, self int, w windowAssignment, seed i
 			return math.Inf(1)
 		}
 		evals++
-		return r.obj.windowScore(r.window(self, leaves, segs))
+		return r.obj.windowScore(r.window(self, leaves, segs, nil))
 	}
 	gaOpts := r.opts.Evo
 	gaOpts.Seed = mixSeed(seed, 3)

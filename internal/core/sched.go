@@ -61,12 +61,10 @@ type treeResult struct {
 // interposer neighbors (the mapping-locality ablation).
 //
 // The search itself is serial and self-contained — evalWin scores leaf
-// windows (in a run it is run.window bound to this task's worker
-// scratch, which evaluates every leaf directly unless the window search
-// is one of the few that can score a leaf twice; evalWin must not retain
-// the segment slice, which the search rewrites in place), adj/chiplets
-// carry the package shape, rng is the task's private stream — which is
-// what lets the scheduler fan many treeSearch calls out across workers.
+// windows (it must not retain the segment slice, which the search
+// rewrites in place), adj/chiplets carry the package shape, rng is the
+// task's private stream — which is what lets the scheduler fan many
+// tree searches out across workers.
 //
 // stop (optional) is polled after every leaf evaluation: once it reports
 // true the search unwinds and returns its incumbent with aborted set.
@@ -83,9 +81,25 @@ type treeResult struct {
 // once the tree's share, the total budget or the stop check has ended the
 // search, because no further leaf would be scored. Every other branch is
 // walked in ascending chiplet order, so the leaves, their order and the
-// result match the plain constrained DFS of Figure 5 exactly.
+// result match the plain constrained DFS of Figure 5 exactly. And every
+// segment of a leaf sits on its own chiplet, since roots are reserved up
+// front and every path step is marked used: the invariant incremental
+// leaf scoring (pathPasses) rests on.
 func treeSearch(
 	evalWin func(segs []eval.Segment) eval.WindowEval, adj [][]bool, chiplets int,
+	plans []modelPlan, obj Objective, maxTrees, budget int, rng *rand.Rand, freePlacement bool,
+	stop func() bool,
+) treeResult {
+	return incrementalTreeSearch(nil, evalWin, adj, chiplets, plans, obj, maxTrees, budget, rng, freePlacement, stop)
+}
+
+// incrementalTreeSearch is treeSearch with incremental leaf scoring
+// when paths is non-nil (see pathPasses): the search resets paths for
+// its plans, and evalWin may return paths.window(segs) instead of
+// evaluating the window. The scheduler runs every tree search this way,
+// with evalWin keeping the run's counters, context poll and leaf cache.
+func incrementalTreeSearch(
+	paths *pathPasses, evalWin func(segs []eval.Segment) eval.WindowEval, adj [][]bool, chiplets int,
 	plans []modelPlan, obj Objective, maxTrees, budget int, rng *rand.Rand, freePlacement bool,
 	stop func() bool,
 ) treeResult {
@@ -116,6 +130,9 @@ func treeSearch(
 		for q := range p.numSegments() {
 			segs = append(segs, p.segmentAt(q, 0))
 		}
+	}
+	if paths != nil {
+		paths.reset(ordered)
 	}
 	t := treeWalk{
 		evalWin: evalWin,
@@ -148,6 +165,92 @@ func treeSearch(
 	return t.res
 }
 
+// pathPasses scores tree-search leaves incrementally. In a tree search
+// every segment sits on its own chiplet: used reserves the roots and
+// every path step. So each model's pipeline stages are exactly its
+// segments, and the window's flow counts follow from the plans alone —
+// Σ(nseg−1) NoP flows and Σ(2+nseg) off-chip streams. The contention
+// factors are then the same at every leaf of one search, and a model's
+// pass depends only on its own chiplet path. So a leaf recomputes only
+// the passes of plans whose path changed since their pass was computed
+// (usually the last plan's alone) and combines the stored passes,
+// bit-identical to evaluating the whole window. Passes are computed at
+// leaves, not as paths complete, because most completed paths on a
+// crowded package lead to no leaf: a later plan finds no free path.
+// Each pool worker owns one, reused by every search it runs, so no
+// search allocates for it once the buffers have grown.
+type pathPasses struct {
+	comp       *eval.Compiled
+	at         []int            // plan k's segments are a leaf's [at[k], at[k+1])
+	path       []int            // the chiplets each segment's stored pass was computed for
+	passes     []eval.ModelPass // plan k's pass
+	order      []int            // plan indices by ascending model
+	nopC, offC float64
+	layers     int
+}
+
+// reset prepares the passes for one search over the ordered plans.
+func (p *pathPasses) reset(plans []modelPlan) {
+	p.at = append(p.at[:0], 0)
+	p.path = p.path[:0]
+	p.passes = slices.Grow(p.passes[:0], len(plans))[:len(plans)]
+	p.order = p.order[:0]
+	crossFlows, offFlows := 0, 0
+	p.layers = 0
+	for k, pl := range plans {
+		n := pl.numSegments()
+		for range n {
+			p.path = append(p.path, -1) // no pass computed yet
+		}
+		p.at = append(p.at, len(p.path))
+		crossFlows += n - 1
+		offFlows += 2 + n
+		p.layers += pl.ends[n-1] + 1
+		// Insertion by model index: plans are few, and windows sum
+		// energy in model order.
+		p.order = append(p.order, k)
+		for i := len(p.order) - 1; i > 0 && plans[p.order[i-1]].model > pl.model; i-- {
+			p.order[i], p.order[i-1] = p.order[i-1], p.order[i]
+		}
+	}
+	p.nopC, p.offC = p.comp.Factors(crossFlows, offFlows)
+}
+
+// window returns the evaluation of the leaf window segs (every plan's
+// segments in plan order, as the walk lays them out), exactly as
+// Compiled.WindowEval would: latency is the maximum of every model's
+// pipeline latency and busiest stage, energy the sum in ascending model
+// order.
+//
+//scar:hotpath
+func (p *pathPasses) window(segs []eval.Segment) eval.WindowEval {
+	for k := range p.passes {
+		plan := segs[p.at[k]:p.at[k+1]]
+		path := p.path[p.at[k]:p.at[k+1]]
+		for i := range plan {
+			if path[i] != plan[i].Chiplet {
+				for j := range plan {
+					path[j] = plan[j].Chiplet
+				}
+				p.passes[k] = p.comp.ModelPass(plan[0].Model, plan, p.nopC, p.offC)
+				break
+			}
+		}
+	}
+	we := eval.WindowEval{NumLayers: p.layers}
+	for _, k := range p.order {
+		mp := &p.passes[k]
+		we.EnergyJ += mp.EnergyPJ * 1e-12
+		if mp.LatencySec > we.LatencySec {
+			we.LatencySec = mp.LatencySec
+		}
+		if mp.BusiestSec > we.LatencySec {
+			we.LatencySec = mp.BusiestSec
+		}
+	}
+	return we
+}
+
 // successors lists, per chiplet, the chiplets a path may step to next in
 // ascending order: its interposer neighbors, or every other chiplet under
 // free placement. All lists share one backing array.
@@ -174,7 +277,7 @@ func successors(adj [][]bool, freePlacement bool) [][]int {
 	return out
 }
 
-// treeWalk is one treeSearch call's DFS state. segs holds every plan's
+// treeWalk is one tree search's DFS state. segs holds every plan's
 // segments in plan order, plan k's from base[k] on; the walk writes a
 // segment's chiplet as it places it, so at a leaf segs is the whole
 // window.

@@ -91,15 +91,17 @@ type CandidateMetrics struct {
 }
 
 // workerState is one pool worker's private evaluation state: a compiled-
-// session Scratch, a reusable memo-key buffer, an RNG that each task
-// re-seeds with its own derived seed (re-seeding yields the same stream
-// as a fresh generator), the count of leaf evaluations the worker was
-// asked for (it paces the context poll) and the count of real
-// WindowEval calls it made. The pool guarantees no two
-// concurrently-running tasks share a worker id, so access is race-free
-// without locks.
+// session Scratch, the tree search's per-path passes, a reusable
+// memo-key buffer, an RNG that each task re-seeds with its own derived
+// seed (re-seeding yields the same stream as a fresh generator), the
+// count of leaf evaluations the worker was asked for (it paces the
+// context poll) and the count of real leaf evaluations it made (a full
+// WindowEval, or a tree-search leaf combined from its passes). The pool
+// guarantees no two concurrently-running tasks share a worker id, so
+// access is race-free without locks.
 type workerState struct {
 	scratch   *eval.Scratch
+	paths     pathPasses
 	key       []byte
 	rng       *rand.Rand
 	leafEvals int
@@ -178,6 +180,7 @@ func (s *Scheduler) newRun(ctx context.Context, req *Request, opts Options) *run
 	r.workers = make([]workerState, r.pool.NWorkers())
 	for i := range r.workers {
 		r.workers[i].scratch = r.comp.NewScratch()
+		r.workers[i].paths.comp = r.comp
 		r.workers[i].rng = rand.New(rand.NewSource(0))
 	}
 	return r
@@ -203,31 +206,38 @@ func (r *run) stop() bool {
 func (r *run) searchStop() bool { return r.stopped.Load() }
 
 // window evaluates one leaf of a window search with the given worker's
-// scratch state. The search counts its own leaves and memoWindow adds
-// them to the run's total once the search ends. With a nil leaves cache
-// it evaluates directly: no key, map or lock. Otherwise probes reuse the
-// worker's key buffer, and the cache stores the pointer-free
-// eval.WindowEval, so only a miss allocates (the stored key). Every 32nd
-// evaluation on a worker polls the run context so cancellation is
-// observed within tens of microseconds of search work without putting
-// ctx.Err on every evaluation.
-func (r *run) window(worker int, leaves *windowCache, segs []eval.Segment) eval.WindowEval {
+// scratch state: from the tree search's per-path passes when paths is
+// non-nil (see pathPasses), with a full WindowEval otherwise. The search
+// counts its own leaves and memoWindow adds them to the run's total once
+// the search ends. With a nil leaves cache it evaluates directly: no
+// key, map or lock. Otherwise probes reuse the worker's key buffer, and
+// the cache stores the pointer-free eval.WindowEval, so only a miss
+// allocates (the stored key). Every 32nd evaluation on a worker polls
+// the run context so cancellation is observed within tens of
+// microseconds of search work without putting ctx.Err on every
+// evaluation.
+func (r *run) window(worker int, leaves *windowCache, segs []eval.Segment, paths *pathPasses) eval.WindowEval {
 	ws := &r.workers[worker]
 	ws.leafEvals++
 	if ws.leafEvals&31 == 0 && !r.stopped.Load() && r.ctx.Err() != nil {
 		r.stopped.Store(true)
 	}
-	if leaves == nil {
-		ws.calls++
-		return r.comp.WindowEval(ws.scratch, eval.TimeWindow{Segments: segs})
-	}
-	ws.key = appendWindowKey(ws.key[:0], segs)
-	if we, ok := leaves.get(ws.key); ok {
-		return we
+	if leaves != nil {
+		ws.key = appendWindowKey(ws.key[:0], segs)
+		if we, ok := leaves.get(ws.key); ok {
+			return we
+		}
 	}
 	ws.calls++
-	we := r.comp.WindowEval(ws.scratch, eval.TimeWindow{Segments: segs})
-	leaves.put(ws.key, we)
+	var we eval.WindowEval
+	if paths != nil {
+		we = paths.window(segs)
+	} else {
+		we = r.comp.WindowEval(ws.scratch, eval.TimeWindow{Segments: segs})
+	}
+	if leaves != nil {
+		leaves.put(ws.key, we)
+	}
 	return we
 }
 
@@ -591,14 +601,15 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 	results := make([]treeResult, len(tasks))
 	r.pool.forEach(self, len(tasks), func(worker, ti int) {
 		t := tasks[ti]
-		rng := r.workers[worker].rng
-		rng.Seed(t.seed)
+		ws := &r.workers[worker]
+		ws.rng.Seed(t.seed)
+		paths := &ws.paths
 		evalWin := func(segs []eval.Segment) eval.WindowEval {
-			return r.window(worker, leaves, segs)
+			return r.window(worker, leaves, segs, paths)
 		}
-		results[ti] = treeSearch(
-			evalWin, r.adj, r.m.NumChiplets(),
-			t.plans, r.obj, r.opts.MaxTrees, t.budget, rng, r.opts.FreePlacement,
+		results[ti] = incrementalTreeSearch(
+			paths, evalWin, r.adj, r.m.NumChiplets(),
+			t.plans, r.obj, r.opts.MaxTrees, t.budget, ws.rng, r.opts.FreePlacement,
 			r.searchStop,
 		)
 	})

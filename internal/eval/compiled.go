@@ -215,14 +215,6 @@ func (c *Compiled) MCM() *mcm.MCM { return c.m }
 // Scenario returns the session's workload.
 func (c *Compiled) Scenario() *workload.Scenario { return c.sc }
 
-// stageSpan is one pipeline stage as a range of the scratch's bucketed
-// segments: a maximal run of consecutive same-chiplet segments of one
-// model (the fused unit of inter-chiplet pipelining).
-type stageSpan struct {
-	chiplet          int
-	segStart, segEnd int // half-open range into Scratch.segs
-}
-
 // Scratch is the reusable per-worker state of compiled evaluations. One
 // Scratch serves one goroutine; evaluations through the same Scratch are
 // strictly sequential, and its contents never influence results — any
@@ -237,12 +229,6 @@ type Scratch struct {
 	segs   []Segment
 	segOff []int
 	cursor []int
-
-	// Stage grouping: stages holds all models' pipeline stages
-	// back-to-back; stageStart/stageCount locate each model's run.
-	stages     []stageSpan
-	stageStart []int
-	stageCount []int
 
 	// Per-chiplet busy accumulation with a touched list for O(touched)
 	// reset.
@@ -261,8 +247,6 @@ func (c *Compiled) NewScratch() *Scratch {
 		owner:       c,
 		segOff:      make([]int, nm+1),
 		cursor:      make([]int, nm),
-		stageStart:  make([]int, nm),
-		stageCount:  make([]int, nm),
 		busy:        make([]float64, c.m.NumChiplets()),
 		busyTouched: make([]int, 0, c.m.NumChiplets()),
 		modelLat:    make([]float64, nm),
@@ -323,45 +307,35 @@ func (c *Compiled) bucket(s *Scratch, segs []Segment) int {
 	return layers
 }
 
-// group fuses each model's consecutive same-chiplet segments into
-// pipeline stages and counts the window's concurrent flows: every
+// flows counts the bucketed window's concurrent flows: every
 // stage-to-stage hop is a NoP flow; every stage's weight load plus every
 // model's boundary input/output is an off-chip stream.
 //
 //scar:hotpath
-func (c *Compiled) group(s *Scratch) (crossFlows, offFlows int) {
-	s.stages = s.stages[:0]
+func (c *Compiled) flows(s *Scratch) (crossFlows, offFlows int) {
 	for mi := range c.models {
-		start := len(s.stages)
-		s.stageStart[mi] = start
-		for i := s.segOff[mi]; i < s.segOff[mi+1]; i++ {
-			seg := s.segs[i]
-			if n := len(s.stages); n > start && s.stages[n-1].chiplet == seg.Chiplet {
-				s.stages[n-1].segEnd = i + 1
-				continue
-			}
-			s.stages = append(s.stages, stageSpan{chiplet: seg.Chiplet, segStart: i, segEnd: i + 1}) //scar:hotalloc scratch growth: amortized to zero once the scratch has seen the stage-richest window
-		}
-		s.stageCount[mi] = len(s.stages) - start
-		if s.stageCount[mi] == 0 {
+		segs := s.segs[s.segOff[mi]:s.segOff[mi+1]]
+		if len(segs) == 0 {
 			continue
 		}
-		offFlows += 2 // boundary input + output
-		for si := 0; si < s.stageCount[mi]; si++ {
-			offFlows++ // weight load
-			if si > 0 && s.stages[start+si].chiplet != s.stages[start+si-1].chiplet {
-				crossFlows++
+		stages := 1
+		for i := 1; i < len(segs); i++ {
+			if segs[i].Chiplet != segs[i-1].Chiplet {
+				stages++
 			}
 		}
+		crossFlows += stages - 1
+		offFlows += 2 + stages // boundary input + output, one weight load per stage
 	}
 	return crossFlows, offFlows
 }
 
-// factors converts flow counts to the window's delta contention factors
-// (Section III-E).
+// Factors converts a window's concurrent flow counts to its delta
+// contention factors (Section III-E): crossFlows NoP flows between
+// pipeline stages, offFlows off-chip streams.
 //
 //scar:hotpath
-func (c *Compiled) factors(crossFlows, offFlows int) (nop, off float64) {
+func (c *Compiled) Factors(crossFlows, offFlows int) (nop, off float64) {
 	if crossFlows > 1 {
 		nop = c.opts.NoPContentionAlpha * float64(crossFlows-1)
 	}
@@ -371,22 +345,25 @@ func (c *Compiled) factors(crossFlows, offFlows int) (nop, off float64) {
 	return nop, off
 }
 
-// miniBatch computes b' (Section III-E) for model mi: multi-stage
-// pipelines stream per-sample; a single stage runs the largest mini-batch
-// whose activations stay L2-resident (precomputed per layer and class).
+// miniBatch computes b' (Section III-E) for model mi over its segments:
+// multi-stage pipelines stream per-sample; a single stage (every segment
+// on one chiplet) runs the largest mini-batch whose activations stay
+// L2-resident (precomputed per layer and class).
 //
 //scar:hotpath
-func (c *Compiled) miniBatch(s *Scratch, mi int) int {
+func (c *Compiled) miniBatch(mi int, segs []Segment) int {
 	cm := &c.models[mi]
-	if s.stageCount[mi] != 1 {
-		return 1
+	chiplet := segs[0].Chiplet
+	for _, seg := range segs[1:] {
+		if seg.Chiplet != chiplet {
+			return 1
+		}
 	}
-	fit := cm.fit[c.classOf[s.stages[s.stageStart[mi]].chiplet]]
+	fit := cm.fit[c.classOf[chiplet]]
 	bp := int32(cm.batch)
-	for i := s.segOff[mi]; i < s.segOff[mi+1]; i++ {
-		seg := s.segs[i]
-		for li := seg.First; li <= seg.Last; li++ {
-			if f := fit[li]; f < bp {
+	for _, seg := range segs {
+		for _, f := range fit[seg.First : seg.Last+1] {
+			if f < bp {
 				bp = f
 			}
 		}
@@ -397,34 +374,55 @@ func (c *Compiled) miniBatch(s *Scratch, mi int) int {
 	return int(bp)
 }
 
+// ModelPass is one model's pipeline pass inside a window.
+type ModelPass struct {
+	// LatencySec is the model's pipeline latency, Lat(SG_m).
+	LatencySec float64
+	// BusiestSec is the largest busy time (weight load plus every pass)
+	// of any one of the model's stages.
+	BusiestSec float64
+	// EnergyPJ is the model's compute and communication energy.
+	EnergyPJ float64
+}
+
 // modelPass evaluates one model's pipeline inside a window (the
 // modelTimings computation on dense tables): first-pass fill with weight
-// prefetch overlap, steady-state bottleneck amortization, energy
-// accumulation and per-chiplet busy time. When timings is non-nil, stage
-// timings are appended to it (the cold path behind WindowTimings); the
-// hot path passes nil and allocates nothing.
+// prefetch overlap, steady-state bottleneck amortization and energy
+// accumulation. segs are the model's segments sorted by first layer; the
+// walk fuses each maximal run of consecutive same-chiplet segments into
+// one pipeline stage. nopC/offC are the window's contention factors.
+// When s is non-nil, every stage's busy time is added to its chiplet's
+// busy total (models of a general window may share chiplets). When
+// timings is non-nil, stage timings are appended to it (the cold path
+// behind WindowTimings); the hot path passes nil and allocates nothing.
+//
+// It is the only copy of the per-model cost arithmetic: windowInto and
+// the scheduler's tree search (through ModelPass) both call it.
 //
 //scar:hotpath
-func (c *Compiled) modelPass(s *Scratch, mi int, nopC, offC float64, timings *[]StageTiming) (modelLat, energyPJ float64) {
+func (c *Compiled) modelPass(s *Scratch, mi int, segs []Segment, nopC, offC float64, timings *[]StageTiming) (p ModelPass) {
 	cm := &c.models[mi]
-	bp := c.miniBatch(s, mi)
+	bp := c.miniBatch(mi, segs)
 	passes := (cm.batch + bp - 1) / bp
-	stages := s.stages[s.stageStart[mi] : s.stageStart[mi]+s.stageCount[mi]]
 	timingsAt := 0
 	if timings != nil {
 		timingsAt = len(*timings)
 	}
 
 	var prevOut, steadyMax float64
-	for si, st := range stages {
-		class := c.classOf[st.chiplet]
-		cp := &cm.costs[class][bp-1]
+	for first := 0; first < len(segs); {
+		chiplet := segs[first].Chiplet
+		end := first + 1
+		for end < len(segs) && segs[end].Chiplet == chiplet {
+			end++
+		}
+		stage := segs[first:end]
+		cp := &cm.costs[c.classOf[chiplet]][bp-1]
 
 		// Segment aggregates as O(1) prefix differences.
 		var computeSec, computePJ float64
 		var spillBytes, weightBytes int64
-		for i := st.segStart; i < st.segEnd; i++ {
-			seg := s.segs[i]
+		for _, seg := range stage {
 			computeSec += cp.compute[seg.Last+1] - cp.compute[seg.First]
 			computePJ += cp.energy[seg.Last+1] - cp.energy[seg.First]
 			spillBytes += cp.spill[seg.Last+1] - cp.spill[seg.First]
@@ -432,27 +430,27 @@ func (c *Compiled) modelPass(s *Scratch, mi int, nopC, offC float64, timings *[]
 		}
 
 		// One-time weight load from DRAM (overlaps upstream fill).
-		wload := comm.OffchipHops(c.m, c.memIFHops[st.chiplet], weightBytes, offC)
+		wload := comm.OffchipHops(c.m, c.memIFHops[chiplet], weightBytes, offC)
 
 		// Input arrives from the previous stage's chiplet, or from DRAM
 		// at the window boundary.
-		inBytes := int64(bp) * cm.perSampleIn[s.segs[st.segStart].First]
+		inBytes := int64(bp) * cm.perSampleIn[stage[0].First]
 		var in comm.Cost
-		if si == 0 {
-			in = comm.OffchipHops(c.m, c.memIFHops[st.chiplet], inBytes, offC)
+		if first == 0 {
+			in = comm.OffchipHops(c.m, c.memIFHops[chiplet], inBytes, offC)
 		} else {
-			in = comm.ChipToChipHops(c.m, c.hops[stages[si-1].chiplet][st.chiplet], inBytes, nopC)
+			in = comm.ChipToChipHops(c.m, c.hops[segs[first-1].Chiplet][chiplet], inBytes, nopC)
 		}
 
 		// Output leaves to DRAM from the last stage only; stage-to-stage
 		// transfers are charged as the next stage's input.
 		var out comm.Cost
-		if si == len(stages)-1 {
-			outBytes := int64(bp) * cm.perSampleOut[s.segs[st.segEnd-1].Last]
-			out = comm.OffchipHops(c.m, c.memIFHops[st.chiplet], outBytes, offC)
+		if end == len(segs) {
+			outBytes := int64(bp) * cm.perSampleOut[stage[len(stage)-1].Last]
+			out = comm.OffchipHops(c.m, c.memIFHops[chiplet], outBytes, offC)
 		}
 
-		spill := comm.OffchipHops(c.m, c.memIFHops[st.chiplet], spillBytes, offC)
+		spill := comm.OffchipHops(c.m, c.memIFHops[chiplet], spillBytes, offC)
 		passLat := in.Seconds + computeSec + spill.Seconds + out.Seconds
 		start := prevOut
 		if wload.Seconds > start {
@@ -460,18 +458,24 @@ func (c *Compiled) modelPass(s *Scratch, mi int, nopC, offC float64, timings *[]
 		}
 		passPJ := in.EnergyPJ + computePJ + spill.EnergyPJ + out.EnergyPJ
 		stageE := wload.EnergyPJ + float64(passes)*passPJ
-		energyPJ += stageE
+		p.EnergyPJ += stageE
 
-		if s.busy[st.chiplet] == 0 {
-			s.busyTouched = append(s.busyTouched, st.chiplet) //scar:hotalloc never grows: NewScratch caps busyTouched at NumChiplets and at most one entry per chiplet is appended
+		busy := wload.Seconds + float64(passes)*passLat
+		if busy > p.BusiestSec {
+			p.BusiestSec = busy
 		}
-		s.busy[st.chiplet] += wload.Seconds + float64(passes)*passLat
+		if s != nil {
+			if s.busy[chiplet] == 0 {
+				s.busyTouched = append(s.busyTouched, chiplet) //scar:hotalloc never grows: NewScratch caps busyTouched at NumChiplets and at most one entry per chiplet is appended
+			}
+			s.busy[chiplet] += busy
+		}
 
 		if timings != nil {
 			*timings = append(*timings, StageTiming{ //scar:hotalloc cold trace branch: the hot path passes timings == nil and never enters this block
 				Model:      mi,
-				Chiplet:    st.chiplet,
-				Segments:   append([]Segment(nil), s.segs[st.segStart:st.segEnd]...), //scar:hotalloc cold trace branch: only reached when the caller asked for materialized stage timings
+				Chiplet:    chiplet,
+				Segments:   append([]Segment(nil), stage...), //scar:hotalloc cold trace branch: only reached when the caller asked for materialized stage timings
 				WeightSec:  wload.Seconds,
 				FirstStart: start,
 				FirstEnd:   start + passLat,
@@ -484,8 +488,9 @@ func (c *Compiled) modelPass(s *Scratch, mi int, nopC, offC float64, timings *[]
 		if passLat > steadyMax {
 			steadyMax = passLat
 		}
+		first = end
 	}
-	modelLat = prevOut + float64(passes-1)*steadyMax
+	p.LatencySec = prevOut + float64(passes-1)*steadyMax
 	if timings != nil {
 		// Steady-state drain: every stage completes its last pass by the
 		// model's pipeline end, staggered by the bottleneck pass.
@@ -493,7 +498,21 @@ func (c *Compiled) modelPass(s *Scratch, mi int, nopC, offC float64, timings *[]
 			(*timings)[i].BusyEnd = (*timings)[i].FirstEnd + float64(passes-1)*steadyMax
 		}
 	}
-	return modelLat, energyPJ
+	return p
+}
+
+// ModelPass evaluates model mi's pipeline over its segments (sorted by
+// first layer) under the given contention factors, without touching any
+// Scratch. It is exact for windows in which no two models share a
+// chiplet: there a model's pass depends only on its own segments and
+// the window's factors, and the window's latency is the maximum of its
+// models' LatencySec and BusiestSec, its energy the sum of their
+// EnergyPJ × 1e-12 in ascending model order — bit-identical to
+// WindowEval.
+//
+//scar:hotpath
+func (c *Compiled) ModelPass(mi int, segs []Segment, nopC, offC float64) ModelPass {
+	return c.modelPass(nil, mi, segs, nopC, offC, nil)
 }
 
 // windowInto evaluates a window's segments, leaving per-model latencies
@@ -502,7 +521,7 @@ func (c *Compiled) modelPass(s *Scratch, mi int, nopC, offC float64, timings *[]
 //scar:hotpath
 func (c *Compiled) windowInto(s *Scratch, segs []Segment, timings *[]StageTiming) WindowEval {
 	we := WindowEval{NumLayers: c.bucket(s, segs)}
-	nopC, offC := c.factors(c.group(s))
+	nopC, offC := c.Factors(c.flows(s))
 
 	for _, ci := range s.busyTouched {
 		s.busy[ci] = 0
@@ -513,11 +532,11 @@ func (c *Compiled) windowInto(s *Scratch, segs []Segment, timings *[]StageTiming
 		if s.segOff[mi] == s.segOff[mi+1] {
 			continue
 		}
-		lat, energyPJ := c.modelPass(s, mi, nopC, offC, timings)
-		s.modelLat[mi] = lat
-		we.EnergyJ += energyPJ * 1e-12
-		if lat > we.LatencySec {
-			we.LatencySec = lat
+		p := c.modelPass(s, mi, s.segs[s.segOff[mi]:s.segOff[mi+1]], nopC, offC, timings)
+		s.modelLat[mi] = p.LatencySec
+		we.EnergyJ += p.EnergyPJ * 1e-12
+		if p.LatencySec > we.LatencySec {
+			we.LatencySec = p.LatencySec
 		}
 	}
 	for _, ci := range s.busyTouched {
@@ -596,7 +615,7 @@ func (c *Compiled) Evaluate(s *Scratch, sched *Schedule) (Metrics, error) {
 // concurrent flows.
 func (c *Compiled) ContentionFactors(s *Scratch, w TimeWindow) (nop, off float64) {
 	c.bucket(s, w.Segments)
-	return c.factors(c.group(s))
+	return c.Factors(c.flows(s))
 }
 
 // WindowTimings returns the evaluated stage timings of every model in the

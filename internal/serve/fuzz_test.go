@@ -52,6 +52,7 @@ func FuzzSimRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"classes":[{"scenario":1,"rate_per_sec":1,"arrival_times":[1]}]}`))
 	f.Add([]byte(`{"classes":[{"scenario":1}],"high_watermark":2,"low_watermark":9}`))
 	f.Add([]byte(`{"classes":[{"scenario":1,"rate_per_sec":1}],"packages":1000000000}`))
+	f.Add([]byte(`{"classes":[{"scenario":1,"rate_per_sec":1e9}],"horizon_sec":1e6}`))
 	f.Add([]byte(`{"classes":[` + strings.Repeat(`{"scenario":1,"rate_per_sec":1},`, MaxSimClasses) + `{"scenario":1,"rate_per_sec":1}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req SimRequest

@@ -272,6 +272,66 @@ func TestHTTPSimulateBounds(t *testing.T) {
 	}
 }
 
+// TestHTTPSimulateArrivalBound pins /simulate's arrival cap: a request
+// whose classes may generate more than MaxSimArrivals arrivals in total
+// answers a clean 400 before any search or arrival generation runs,
+// whether the load comes from rate × horizon, max_requests_per_class or
+// trace lengths, while a request at the cap is accepted.
+func TestHTTPSimulateArrivalBound(t *testing.T) {
+	svc := fastService()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	poisson := func(rate float64) string {
+		return fmt.Sprintf(`{"workload_json": %s, "profile": "edge", "rate_per_sec": %g}`, tinyWorkload, rate)
+	}
+	trace := func(n int) string {
+		return fmt.Sprintf(`{"workload_json": %s, "profile": "edge", "arrival_times": [%s]}`,
+			tinyWorkload, strings.TrimSuffix(strings.Repeat("1,", n), ","))
+	}
+	half := MaxSimArrivals / 2
+	for _, tc := range []struct{ name, body string }{
+		{"rate x horizon", fmt.Sprintf(`{"classes": [%s], "horizon_sec": 1e6}`, poisson(1e9))},
+		{"requests per class", fmt.Sprintf(`{"classes": [%s, %s], "max_requests_per_class": %d}`, poisson(1), poisson(1), half+1)},
+		{"horizon over requests cap", fmt.Sprintf(`{"classes": [%s], "horizon_sec": 1e300, "max_requests_per_class": %d}`, poisson(1e300), MaxSimArrivals+1)},
+		{"traces plus rate", fmt.Sprintf(`{"classes": [%s, %s], "horizon_sec": %d}`, trace(half), poisson(1), half+1)},
+	} {
+		resp, data := postJSON(t, srv.URL+"/simulate", tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (%.200s)", tc.name, resp.StatusCode, data)
+		}
+		var he httpError
+		if err := json.Unmarshal(data, &he); err != nil || !strings.Contains(he.Error, "arrivals exceed") {
+			t.Errorf("%s: error body %.200s does not mention the arrival limit", tc.name, data)
+		}
+	}
+	if st := svc.Stats(); st.ScheduleCalls != 0 || st.Simulations != 0 {
+		t.Errorf("oversized simulations reached the search or the simulator: %+v", st)
+	}
+
+	// Exactly at the cap passes validation; one more arrival does not.
+	atCap := SimRequest{
+		Classes: []SimClass{
+			{Request: Request{Scenario: 1}, RatePerSec: 2},
+			{Request: Request{Scenario: 1}, ArrivalTimes: []float64{0, 1, 2, 3}},
+		},
+		HorizonSec: float64(MaxSimArrivals-4) / 2,
+	}
+	if err := atCap.validate(); err != nil {
+		t.Errorf("request at the arrival limit rejected: %v", err)
+	}
+	atCap.HorizonSec += 0.25
+	if err := atCap.validate(); err == nil {
+		t.Error("request one arrival past the limit accepted")
+	}
+
+	resp, data := postJSON(t, srv.URL+"/simulate", fmt.Sprintf(
+		`{"classes": [%s, %s], "horizon_sec": 0.5, "max_requests_per_class": 3}`, poisson(1), trace(4)))
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("simulation within the arrival limit: status %d (%.200s)", resp.StatusCode, data)
+	}
+}
+
 // TestHTTPStatsExposesShardFields pins the new stats wire fields.
 func TestHTTPStatsExposesShardFields(t *testing.T) {
 	srv := httptest.NewServer(fastService().Handler())

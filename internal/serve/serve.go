@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -81,14 +82,20 @@ type Request struct {
 // scheduling request. The paper's largest package is 6x6.
 const MaxPackageDim = 32
 
-// MaxSimPackages and MaxSimClasses bound a /simulate request's replica
-// count and class list: the simulator sizes per-package state from the
-// former, and every class may cost a search, so neither may be
-// arbitrary client input.
+// MaxSimPackages, MaxSimClasses and MaxSimArrivals bound a /simulate
+// request's replica count, class list and arrival count: the simulator
+// sizes per-package state from the first, every class may cost a
+// search, and every arrival is materialized before the event loop runs,
+// so none of them may be arbitrary client input.
 const (
 	MaxSimPackages = 1024
 	MaxSimClasses  = 64
+	MaxSimArrivals = 1 << 20
 )
+
+// defaultSimRequestsPerClass bounds each class of a /simulate request
+// that sets neither horizon_sec nor max_requests_per_class.
+const defaultSimRequestsPerClass = 100
 
 // withDefaults resolves the request's implied fields.
 func (r Request) withDefaults() Request {
@@ -556,6 +563,8 @@ type SimRequest struct {
 	Policy string `json:"policy,omitempty"`
 	// HorizonSec / MaxRequestsPerClass bound the simulated load (at
 	// least one must be positive; defaults: 100 requests per class).
+	// The arrivals they allow, summed over classes, must stay within
+	// MaxSimArrivals.
 	HorizonSec          float64 `json:"horizon_sec,omitempty"`
 	MaxRequestsPerClass int     `json:"max_requests_per_class,omitempty"`
 	// SlackFactor derives deadlines for models without frame rates
@@ -579,8 +588,8 @@ type SimRequest struct {
 	CollectTiming bool `json:"collect_timing,omitempty"`
 }
 
-// validate rejects out-of-range class and package counts at the wire
-// boundary, before any search runs.
+// validate rejects out-of-range class, package and arrival counts at
+// the wire boundary, before any search runs.
 func (r SimRequest) validate() error {
 	switch {
 	case len(r.Classes) == 0:
@@ -592,7 +601,43 @@ func (r SimRequest) validate() error {
 	case r.Packages > MaxSimPackages:
 		return fmt.Errorf("serve: %d packages exceed the %d limit", r.Packages, MaxSimPackages)
 	}
+	if n := r.arrivalBound(); n > MaxSimArrivals {
+		return fmt.Errorf("serve: up to %.4g simulated arrivals exceed the %d limit", n, MaxSimArrivals)
+	}
 	return nil
+}
+
+// requestsPerClass returns the effective max_requests_per_class: the
+// default when the request bounds its load by neither field.
+func (r SimRequest) requestsPerClass() int {
+	if r.HorizonSec <= 0 && r.MaxRequestsPerClass <= 0 {
+		return defaultSimRequestsPerClass
+	}
+	return r.MaxRequestsPerClass
+}
+
+// arrivalBound returns the number of arrivals the request may ask the
+// simulator to generate, summed over classes: a trace class's length,
+// or for a Poisson class ⌈rate × horizon⌉ capped by
+// max_requests_per_class (whichever of the two is set). It is a
+// float64, so hostile rates and horizons cannot overflow it.
+func (r SimRequest) arrivalBound() float64 {
+	perClass := r.requestsPerClass()
+	var total float64
+	for _, c := range r.Classes {
+		n := float64(len(c.ArrivalTimes))
+		if n == 0 && c.RatePerSec > 0 {
+			n = math.Inf(1)
+			if r.HorizonSec > 0 {
+				n = math.Ceil(c.RatePerSec * r.HorizonSec)
+			}
+			if perClass > 0 {
+				n = min(n, float64(perClass))
+			}
+		}
+		total += n
+	}
+	return total
 }
 
 // admission resolves the request's admission-control fields, validating
@@ -671,9 +716,7 @@ func (s *Service) Simulate(ctx context.Context, req SimRequest) (*online.Report,
 		endResolve()
 		return nil, err
 	}
-	if req.HorizonSec <= 0 && req.MaxRequestsPerClass <= 0 {
-		req.MaxRequestsPerClass = 100
-	}
+	req.MaxRequestsPerClass = req.requestsPerClass()
 	// Resolve the policy name and the admission block before scheduling
 	// any class, so a typo fails fast instead of after seconds of
 	// search work.
