@@ -233,30 +233,11 @@ func BenchmarkAblationPacking(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSpeedup measures the parallel search engine: the
-// serial (Workers: 1) vs parallel (Workers: GOMAXPROCS) wall clock of the
-// Table III Scenario 4 schedule on Het-Sides, plus the window-cache hit
-// rate and the serial/parallel bit-identity check. On a >= 4-core runner
-// the speedup should exceed 2x.
-func BenchmarkParallelSpeedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := sharedSuite().Speedup(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Identical {
-			b.Fatal("serial and parallel schedules diverged")
-		}
-		if i == 0 {
-			fmt.Printf("speedup: %.2fx on %d workers (serial %.3fs, parallel %.3fs), cache hit rate %.1f%%\n",
-				res.SpeedupFactor(), res.Workers, res.SerialSec, res.ParallelSec, 100*res.CacheHitRate)
-		}
-	}
-}
-
-// BenchmarkScheduleSerial and BenchmarkScheduleParallel expose the same
-// schedule to `go test -bench 'Schedule(Serial|Parallel)'` for direct
-// A/B timing with the standard benchmark machinery.
+// BenchmarkScheduleSerial and BenchmarkScheduleParallel time the Table
+// III Scenario 4 EDP schedule on the Het-Sides 3x3 datacenter package at
+// Workers 1 and GOMAXPROCS: `go test -bench 'Schedule(Serial|Parallel)'`
+// is the serial-vs-parallel A/B. Their results are bit-identical; the
+// Workers 1/4 golden cases in internal/core pin that.
 func benchmarkSchedule(b *testing.B, workers int) {
 	sc, err := scar.ScenarioByNumber(4)
 	if err != nil {

@@ -8,16 +8,15 @@
 //	scarbench -exp all
 //	scarbench -exp fig2,table4,fig7,fig8,fig9,table5,fig11,fig12,fig13
 //	scarbench -exp nsplits,prov,packing,complexity
-//	scarbench -exp speedup          # serial-vs-parallel search engine
-//	scarbench -exp evalbench -benchjson BENCH_eval.json
 //	scarbench -exp online -benchjson BENCH_online.json
 //	scarbench -exp policies -benchjson BENCH_policies.json
 //	scarbench -exp overload -benchjson BENCH_overload.json
-//	scarbench -exp serve -benchjson serve.json        # serve-layer load generator
-//	scarbench -exp serve -serve-url http://localhost:8080  # drive a live daemon
 //	scarbench -workers 4 -exp all   # bound cell-level parallelism
 //	scarbench -cpuprofile cpu.pprof -exp table4
 //	scarbench -costdb scar.costdb -exp table4  # warm-start the cost model
+//
+// Performance is measured by the repository benchmark (bench/run.sh),
+// not here.
 package main
 
 import (
@@ -28,6 +27,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -36,42 +36,155 @@ import (
 	"example.com/scar/internal/maestro"
 )
 
-var allExperiments = []string{
-	"fig2", "table4", "fig7", "fig8", "fig9", "table5", "fig11",
-	"fig12", "fig13", "nsplits", "prov", "packing", "complexity",
-	"sensitivity", "speedup", "evalbench", "online", "policies",
-	"overload", "serve",
+// result is what an experiment prints. The snapshot experiments'
+// results also implement snapshotter.
+type result interface{ Print(io.Writer) }
+
+// snapshotter is a result with a BENCH_*.json form, written by -benchjson.
+type snapshotter interface{ WriteJSON(io.Writer) error }
+
+// printFunc adapts a print method to result.
+type printFunc func(io.Writer)
+
+func (f printFunc) Print(w io.Writer) { f(w) }
+
+// results prints several results in order.
+type results []result
+
+func (rs results) Print(w io.Writer) {
+	for _, r := range rs {
+		r.Print(w)
+	}
 }
 
-var (
-	benchJSON string
-	serveCfg  experiments.ServeLoadConfig
-)
+// experiment is one -exp name and the run producing what it prints.
+type experiment struct {
+	name string
+	run  func(ctx context.Context, s *experiments.Suite) (result, error)
+}
+
+// experimentTable lists every experiment in "-exp all" order.
+var experimentTable = []experiment{
+	{"fig2", func(ctx context.Context, s *experiments.Suite) (result, error) { return s.Motivational(ctx) }},
+	{"table4", func(ctx context.Context, s *experiments.Suite) (result, error) {
+		res, err := s.Datacenter(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return printFunc(res.PrintTableIV), nil
+	}},
+	{"fig7", func(ctx context.Context, s *experiments.Suite) (result, error) {
+		res, err := s.Datacenter(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return printFunc(res.PrintFig7), nil
+	}},
+	{"fig8", pareto([]int{3, 4}, maestro.DefaultDatacenterChiplet())},
+	{"fig9", func(ctx context.Context, s *experiments.Suite) (result, error) { return s.TopSchedule(ctx) }},
+	{"table5", func(ctx context.Context, s *experiments.Suite) (result, error) {
+		res, err := s.ARVR(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return printFunc(res.PrintTableV), nil
+	}},
+	{"fig11", pareto([]int{6, 7, 8, 10}, maestro.DefaultEdgeChiplet())},
+	{"fig12", func(ctx context.Context, s *experiments.Suite) (result, error) { return s.Triangular(ctx) }},
+	{"fig13", func(ctx context.Context, s *experiments.Suite) (result, error) { return s.Scale6x6(ctx) }},
+	{"nsplits", func(ctx context.Context, s *experiments.Suite) (result, error) { return s.Nsplits(ctx) }},
+	{"prov", func(ctx context.Context, s *experiments.Suite) (result, error) { return s.ProvAblation(ctx) }},
+	{"packing", func(ctx context.Context, s *experiments.Suite) (result, error) { return s.Packing(ctx) }},
+	{"complexity", func(_ context.Context, s *experiments.Suite) (result, error) { return s.Complexity(), nil }},
+	{"sensitivity", func(ctx context.Context, s *experiments.Suite) (result, error) {
+		var out results
+		for _, sweep := range []func(context.Context) (*experiments.SensitivityResult, error){
+			s.CostModelSensitivity, s.ContentionSensitivity,
+			s.BudgetSensitivity, s.MappingSensitivity,
+		} {
+			res, err := sweep(ctx)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, res, printFunc(func(w io.Writer) {
+				fmt.Fprintf(w, "heterogeneous advantage robust: %v\n\n", res.RobustlyHeterogeneous())
+			}))
+		}
+		return out, nil
+	}},
+	{"online", func(ctx context.Context, s *experiments.Suite) (result, error) { return s.Online(ctx) }},
+	{"policies", func(ctx context.Context, s *experiments.Suite) (result, error) { return s.Policies(ctx) }},
+	{"overload", func(ctx context.Context, s *experiments.Suite) (result, error) { return s.Overload(ctx) }},
+}
+
+// experimentAliases are -exp names that run a table entry under another
+// name. They are not part of "-exp all".
+var experimentAliases = map[string]string{"fig10": "table5"}
+
+// pareto runs the Pareto front of each scenario on the 3x3 datacenter
+// strategies built from spec.
+func pareto(scenarios []int, spec maestro.Chiplet) func(context.Context, *experiments.Suite) (result, error) {
+	return func(ctx context.Context, s *experiments.Suite) (result, error) {
+		var out results
+		for _, sc := range scenarios {
+			res, err := s.Pareto(ctx, sc, experiments.DatacenterStrategies(), 3, 3, spec)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, res)
+		}
+		return out, nil
+	}
+}
+
+// selectExperiments resolves the -exp list against experimentTable.
+func selectExperiments(exps string) ([]experiment, error) {
+	if exps == "all" {
+		return experimentTable, nil
+	}
+	var list []experiment
+	for _, name := range strings.Split(exps, ",") {
+		name = strings.TrimSpace(name)
+		target := name
+		if alias, ok := experimentAliases[name]; ok {
+			target = alias
+		}
+		i := slices.IndexFunc(experimentTable, func(e experiment) bool { return e.name == target })
+		if i < 0 {
+			return nil, fmt.Errorf("-exp: unknown experiment %q (known: %s)", name, knownExperiments())
+		}
+		list = append(list, experiment{name, experimentTable[i].run})
+	}
+	return list, nil
+}
+
+// knownExperiments lists every accepted -exp name.
+func knownExperiments() string {
+	names := []string{"all"}
+	for _, e := range experimentTable {
+		names = append(names, e.name)
+	}
+	for alias := range experimentAliases {
+		names = append(names, alias)
+	}
+	return strings.Join(names, ", ")
+}
 
 // main delegates so realMain's defers (CPU profile trailer, file close)
 // run before the process exits even when an experiment fails.
 func main() { os.Exit(realMain()) }
 
 // validateFlags rejects nonsense flag values at startup with a clear
-// error instead of carrying them into a long experiment run.
-func validateFlags(workers int, timeout time.Duration, cfg experiments.ServeLoadConfig) error {
+// error instead of carrying them into a long experiment run. It returns
+// the experiments -exp selects.
+func validateFlags(exps string, workers int, timeout time.Duration) ([]experiment, error) {
 	switch {
 	case workers < 0:
-		return fmt.Errorf("-workers must be >= 0, got %d (use 0 for all cores)", workers)
+		return nil, fmt.Errorf("-workers must be >= 0, got %d (use 0 for all cores)", workers)
 	case timeout < 0:
-		return fmt.Errorf("-timeout must be >= 0, got %v (use 0 for no bound)", timeout)
-	case cfg.Keys < 0:
-		return fmt.Errorf("-serve-keys must be >= 0, got %d", cfg.Keys)
-	case cfg.Goroutines < 0:
-		return fmt.Errorf("-serve-goroutines must be >= 0, got %d", cfg.Goroutines)
-	case cfg.Duration < 0:
-		return fmt.Errorf("-serve-duration must be >= 0, got %v", cfg.Duration)
-	case cfg.HitFraction < 0 || cfg.HitFraction > 1:
-		return fmt.Errorf("-serve-hit must be within [0, 1], got %v", cfg.HitFraction)
-	case cfg.Shards < 0:
-		return fmt.Errorf("-serve-shards must be >= 0, got %d", cfg.Shards)
+		return nil, fmt.Errorf("-timeout must be >= 0, got %v (use 0 for no bound)", timeout)
 	}
-	return nil
+	return selectExperiments(exps)
 }
 
 func realMain() int {
@@ -84,30 +197,14 @@ func realMain() int {
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
 		costdbPath = flag.String("costdb", "", "cost-database snapshot: loaded if present before the run, saved after it, so repeated runs skip cost-model warmup")
 		timeout    = flag.Duration("timeout", 0, "wall-clock bound over the whole run (0 = none); searches in flight at expiry abort and the run fails")
+		benchJSON  = flag.String("benchjson", "", "with -exp online, policies or overload: also write the snapshot as JSON to this file (the BENCH_*.json format)")
 	)
-	flag.StringVar(&benchJSON, "benchjson", "", "with -exp evalbench or online: also write the snapshot as JSON to this file (the BENCH_*.json format)")
-	flag.IntVar(&serveCfg.Keys, "serve-keys", 0, "with -exp serve: resident cache keys pre-populated per point (0 = 128, or 32 with -fast)")
-	flag.IntVar(&serveCfg.Goroutines, "serve-goroutines", 0, "with -exp serve: client concurrency (0 = 4x GOMAXPROCS)")
-	flag.DurationVar(&serveCfg.Duration, "serve-duration", 0, "with -exp serve: measured interval per point (0 = 2s, or 250ms with -fast)")
-	flag.Float64Var(&serveCfg.HitFraction, "serve-hit", 0, "with -exp serve: hit share of the mixed workload (0 = 0.95)")
-	flag.IntVar(&serveCfg.Shards, "serve-shards", 0, "with -exp serve: shard count of the sharded service (0 = serve default)")
-	flag.StringVar(&serveCfg.URL, "serve-url", "", "with -exp serve: drive a live scarserve daemon at this base URL instead of in-process services")
 	flag.Parse()
 
-	if err := validateFlags(*workers, *timeout, serveCfg); err != nil {
+	list, err := validateFlags(*exps, *workers, *timeout)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "scarbench: %v\n", err)
 		return 2
-	}
-
-	if *fast {
-		// Reduced load-generator budgets, mirroring -fast search budgets:
-		// enough to exercise every path, not enough to measure precisely.
-		if serveCfg.Keys == 0 {
-			serveCfg.Keys = 32
-		}
-		if serveCfg.Duration == 0 {
-			serveCfg.Duration = 250 * time.Millisecond
-		}
 	}
 
 	if *cpuprofile != "" {
@@ -149,17 +246,13 @@ func realMain() int {
 		}
 	}
 
-	list := allExperiments
-	if *exps != "all" {
-		list = strings.Split(*exps, ",")
-	}
-	for _, name := range list {
+	for _, exp := range list {
 		start := time.Now()
-		if err := run(ctx, suite, strings.TrimSpace(name)); err != nil {
-			fmt.Fprintf(os.Stderr, "scarbench: %s: %v\n", name, err)
+		if err := runOne(ctx, suite, exp, *benchJSON); err != nil {
+			fmt.Fprintf(os.Stderr, "scarbench: %s: %v\n", exp.name, err)
 			return 1
 		}
-		fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s completed in %v]\n\n", exp.name, time.Since(start).Round(time.Millisecond))
 	}
 
 	if *costdbPath != "" {
@@ -186,166 +279,22 @@ func realMain() int {
 	return 0
 }
 
-func run(ctx context.Context, s *experiments.Suite, name string) error {
-	w := os.Stdout
-	switch name {
-	case "fig2":
-		res, err := s.Motivational(ctx)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "table4", "fig7":
-		res, err := s.Datacenter(ctx)
-		if err != nil {
-			return err
-		}
-		if name == "table4" {
-			res.PrintTableIV(w)
-		} else {
-			res.PrintFig7(w)
-		}
-	case "fig8":
-		for _, sc := range []int{3, 4} {
-			res, err := s.Pareto(ctx, sc, experiments.DatacenterStrategies(), 3, 3, maestro.DefaultDatacenterChiplet())
-			if err != nil {
-				return err
-			}
-			res.Print(w)
-		}
-	case "fig9":
-		res, err := s.TopSchedule(ctx)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "table5", "fig10":
-		res, err := s.ARVR(ctx)
-		if err != nil {
-			return err
-		}
-		res.PrintTableV(w)
-	case "fig11":
-		for _, sc := range []int{6, 7, 8, 10} {
-			res, err := s.Pareto(ctx, sc, experiments.DatacenterStrategies(), 3, 3, maestro.DefaultEdgeChiplet())
-			if err != nil {
-				return err
-			}
-			res.Print(w)
-		}
-	case "fig12":
-		res, err := s.Triangular(ctx)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "fig13":
-		res, err := s.Scale6x6(ctx)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "nsplits":
-		res, err := s.Nsplits(ctx)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "prov":
-		res, err := s.ProvAblation(ctx)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "packing":
-		res, err := s.Packing(ctx)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "complexity":
-		s.Complexity().Print(w)
-	case "speedup":
-		res, err := s.Speedup(ctx)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "evalbench":
-		res, err := s.EvalBench(ctx)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-		if benchJSON != "" {
-			if err := writeSnapshot(benchJSON, res.WriteJSON); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "snapshot written to %s\n", benchJSON)
-		}
-	case "online":
-		res, err := s.Online(ctx)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-		if benchJSON != "" {
-			if err := writeSnapshot(benchJSON, res.WriteJSON); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "snapshot written to %s\n", benchJSON)
-		}
-	case "policies":
-		res, err := s.Policies(ctx)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-		if benchJSON != "" {
-			if err := writeSnapshot(benchJSON, res.WriteJSON); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "snapshot written to %s\n", benchJSON)
-		}
-	case "overload":
-		res, err := s.Overload(ctx)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-		if benchJSON != "" {
-			if err := writeSnapshot(benchJSON, res.WriteJSON); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "snapshot written to %s\n", benchJSON)
-		}
-	case "serve":
-		res, err := s.ServeLoad(ctx, serveCfg)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-		if benchJSON != "" {
-			if err := writeSnapshot(benchJSON, res.WriteJSON); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "snapshot written to %s\n", benchJSON)
-		}
-	case "sensitivity":
-		for _, runSweep := range []func(context.Context) (*experiments.SensitivityResult, error){
-			s.CostModelSensitivity, s.ContentionSensitivity,
-			s.BudgetSensitivity, s.MappingSensitivity,
-		} {
-			res, err := runSweep(ctx)
-			if err != nil {
-				return err
-			}
-			res.Print(w)
-			fmt.Fprintf(w, "heterogeneous advantage robust: %v\n\n", res.RobustlyHeterogeneous())
-		}
-	default:
-		return fmt.Errorf("unknown experiment (know: %s)", strings.Join(allExperiments, ", "))
+// runOne runs one experiment and prints its result. A snapshot result is
+// also written to benchJSON when that is set.
+func runOne(ctx context.Context, s *experiments.Suite, exp experiment, benchJSON string) error {
+	res, err := exp.run(ctx, s)
+	if err != nil {
+		return err
 	}
+	res.Print(os.Stdout)
+	snap, ok := res.(snapshotter)
+	if !ok || benchJSON == "" {
+		return nil
+	}
+	if err := writeSnapshot(benchJSON, snap.WriteJSON); err != nil {
+		return err
+	}
+	fmt.Printf("snapshot written to %s\n", benchJSON)
 	return nil
 }
 

@@ -4,38 +4,62 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"example.com/scar/internal/experiments"
 )
 
 func TestValidateFlags(t *testing.T) {
-	if err := validateFlags(0, 0, experiments.ServeLoadConfig{}); err != nil {
-		t.Errorf("default flags rejected: %v", err)
-	}
-	if err := validateFlags(4, time.Minute, experiments.ServeLoadConfig{
-		Keys: 32, Goroutines: 8, Duration: time.Second, HitFraction: 0.95, Shards: 4,
-	}); err != nil {
-		t.Errorf("valid flags rejected: %v", err)
+	for _, tc := range []struct {
+		exps string
+		want []string
+	}{
+		{"all", nil},
+		{"table4,fig10", []string{"table4", "fig10"}},
+		{"fig2, complexity", []string{"fig2", "complexity"}},
+	} {
+		list, err := validateFlags(tc.exps, 4, time.Minute)
+		if err != nil {
+			t.Errorf("-exp %s rejected: %v", tc.exps, err)
+			continue
+		}
+		want := tc.want
+		if want == nil {
+			for _, e := range experimentTable {
+				want = append(want, e.name)
+			}
+		}
+		var got []string
+		for _, e := range list {
+			got = append(got, e.name)
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("-exp %s selected %v, want %v", tc.exps, got, want)
+		}
 	}
 
 	for _, tc := range []struct {
 		name    string
+		exps    string
 		workers int
 		timeout time.Duration
-		cfg     experiments.ServeLoadConfig
 		wantSub string
 	}{
-		{"negative workers", -1, 0, experiments.ServeLoadConfig{}, "-workers"},
-		{"negative timeout", 0, -time.Second, experiments.ServeLoadConfig{}, "-timeout"},
-		{"negative serve keys", 0, 0, experiments.ServeLoadConfig{Keys: -1}, "-serve-keys"},
-		{"negative goroutines", 0, 0, experiments.ServeLoadConfig{Goroutines: -2}, "-serve-goroutines"},
-		{"negative duration", 0, 0, experiments.ServeLoadConfig{Duration: -time.Millisecond}, "-serve-duration"},
-		{"hit fraction above one", 0, 0, experiments.ServeLoadConfig{HitFraction: 1.5}, "-serve-hit"},
-		{"negative shards", 0, 0, experiments.ServeLoadConfig{Shards: -4}, "-serve-shards"},
+		{"negative workers", "all", -1, 0, "-workers"},
+		{"negative timeout", "all", 0, -time.Second, "-timeout"},
+		{"unknown name after a known one", "fig2,speedup", 0, 0, `unknown experiment "speedup"`},
+		{"deleted evalbench", "evalbench", 0, 0, `unknown experiment "evalbench"`},
+		{"deleted serve", "serve", 0, 0, `unknown experiment "serve"`},
+		{"empty name", "fig2,", 0, 0, `unknown experiment ""`},
 	} {
-		err := validateFlags(tc.workers, tc.timeout, tc.cfg)
+		_, err := validateFlags(tc.exps, tc.workers, tc.timeout)
 		if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.wantSub)
+		}
+	}
+
+	// The error names every accepted experiment.
+	_, err := validateFlags("speedup", 0, 0)
+	for _, name := range []string{"all", "fig2", "overload", "fig10"} {
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-experiment error %v does not list %q", err, name)
 		}
 	}
 }

@@ -21,12 +21,12 @@ import (
 //	                            reference): per-layer costdb lookups under
 //	                            a RWMutex, fresh maps/slices per call
 //
-// Regenerate the checked-in snapshot with
-// `go run ./cmd/scarbench -exp evalbench -benchjson BENCH_eval.json`.
+// TestWindowEvalZeroAllocs gates the 0 allocs/op bar in every test run;
+// the end-to-end search numbers come from bench/run.sh.
 
 // benchRig builds the scenario, package and a set of pipeline windows
 // exercising multi-stage fusion, shared chiplets and off-chip contention.
-func benchRig(b *testing.B) (*costdb.DB, *mcm.MCM, *workload.Scenario, []TimeWindow) {
+func benchRig(b testing.TB) (*costdb.DB, *mcm.MCM, *workload.Scenario, []TimeWindow) {
 	b.Helper()
 	sc, err := models.ScenarioByNumber(6)
 	if err != nil {
@@ -54,6 +54,23 @@ func benchRig(b *testing.B) (*costdb.DB, *mcm.MCM, *workload.Scenario, []TimeWin
 	}
 	windows := []TimeWindow{{Segments: piped}, {Segments: packed}}
 	return db, pkg, &sc, windows
+}
+
+// TestWindowEvalZeroAllocs is the runtime gate behind the search's
+// innermost loop: with a reused Scratch, Compiled.WindowEval does not
+// allocate. It runs in -short mode too.
+func TestWindowEvalZeroAllocs(t *testing.T) {
+	db, pkg, sc, windows := benchRig(t)
+	c := Compile(db, pkg, sc, DefaultOptions())
+	s := c.NewScratch()
+	for _, w := range windows {
+		c.WindowEval(s, w) // warm scratch capacity
+	}
+	for i, w := range windows {
+		if n := testing.AllocsPerRun(100, func() { c.WindowEval(s, w) }); n != 0 {
+			t.Errorf("window %d: WindowEval made %v allocs/op, want 0", i, n)
+		}
+	}
 }
 
 // BenchmarkWindowEval measures the compiled hot path: dense prefix-sum

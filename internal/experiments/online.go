@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"example.com/scar/internal/core"
 	"example.com/scar/internal/eval"
@@ -73,9 +72,6 @@ type OnlineResult struct {
 	// normalizes against; Seed the sweep's base RNG seed.
 	CapacityPerSec float64 `json:"capacity_per_sec"`
 	Seed           int64   `json:"seed"`
-	// ScheduleMs is the wall-clock time spent producing the class
-	// schedules (informational; cold cost-model warmup included).
-	ScheduleMs float64 `json:"schedule_ms"`
 	// Points are the operating points in ascending offered load.
 	Points []OnlinePoint `json:"points"`
 }
@@ -107,7 +103,6 @@ func (s *Suite) onlineSweep(ctx context.Context, targetRequests int) (*OnlineRes
 		Classes:        mix.infos,
 		CapacityPerSec: mix.capacityPerSec,
 		Seed:           s.Opts.Seed,
-		ScheduleMs:     mix.scheduleMs,
 	}
 	res.Points, err = s.sweepPoints(ctx, mix, 1, online.FIFO{}, targetRequests)
 	return res, err
@@ -123,7 +118,6 @@ type onlineMix struct {
 	classes        []online.Class
 	infos          []OnlineClassInfo
 	capacityPerSec float64
-	scheduleMs     float64
 }
 
 // scheduleOnlineMix schedules scenarios 6 and 7 (70/30) on the
@@ -138,7 +132,6 @@ func (s *Suite) scheduleOnlineMix(ctx context.Context) (*onlineMix, error) {
 	obj := core.LatencyObjective()
 
 	mix := &onlineMix{strategy: "Het-Sides 4x4"}
-	start := time.Now()
 	mix.classes = make([]online.Class, len(specs))
 	for i, spec := range specs {
 		sc, err := models.ScenarioByNumber(spec.scenario)
@@ -165,7 +158,6 @@ func (s *Suite) scheduleOnlineMix(ctx context.Context) (*onlineMix, error) {
 			EnergyJ:     cl.Metrics.EnergyJ,
 		})
 	}
-	mix.scheduleMs = float64(time.Since(start).Microseconds()) / 1e3
 
 	// Mix-weighted mean service time -> single-package capacity.
 	var meanSvc float64
@@ -240,8 +232,7 @@ func (r *OnlineResult) Print(w io.Writer) {
 		fprintf(w, "sc%d (%.0f%%, %.1f ms/req, switch-in %.2f ms)",
 			c.Scenario, 100*c.Share, 1e3*c.ServiceSec, 1e3*c.SwitchInSec)
 	}
-	fprintf(w, "\ncapacity %.1f req/s, seed %d, schedules built in %.0f ms\n",
-		r.CapacityPerSec, r.Seed, r.ScheduleMs)
+	fprintf(w, "\ncapacity %.1f req/s, seed %d\n", r.CapacityPerSec, r.Seed)
 	fprintf(w, "%8s %9s %8s %8s %9s %9s %9s %8s %7s %8s\n",
 		"load", "req/s", "reqs", "SLA", "p50 ms", "p95 ms", "p99 ms", "queue", "util", "switches")
 	for _, p := range r.Points {

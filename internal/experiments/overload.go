@@ -23,8 +23,7 @@ import (
 // output is the checked-in BENCH_overload.json snapshot (regenerate
 // with `go run ./cmd/scarbench -exp overload -benchjson
 // BENCH_overload.json`); everything is seeded, so the snapshot is
-// bit-identical across runs except the informational schedule_ms
-// field.
+// bit-identical across runs.
 
 // OverloadGuardInfo names one admission configuration of the sweep.
 type OverloadGuardInfo struct {
@@ -84,9 +83,6 @@ type OverloadResult struct {
 	// normalize against; Seed the sweep's base RNG seed.
 	CapacityPerSec float64 `json:"capacity_per_sec"`
 	Seed           int64   `json:"seed"`
-	// ScheduleMs is the wall-clock time spent producing the class
-	// schedules (informational; cold cost-model warmup included).
-	ScheduleMs float64 `json:"schedule_ms"`
 	// Guards are the per-guard curves: unprotected, drop-tail,
 	// deadline-aware.
 	Guards []OverloadGuardSweep `json:"guards"`
@@ -149,7 +145,6 @@ func (s *Suite) overloadSweep(ctx context.Context, targetRequests int) (*Overloa
 		Classes:        mix.infos,
 		CapacityPerSec: mix.capacityPerSec,
 		Seed:           s.Opts.Seed,
-		ScheduleMs:     mix.scheduleMs,
 	}
 	for _, guard := range overloadGuards {
 		adm, err := guard.admission()
@@ -235,8 +230,7 @@ func (r *OverloadResult) Print(w io.Writer) {
 		fprintf(w, "sc%d (%.0f%%, %.1f ms/req, switch-in %.2f ms)",
 			c.Scenario, 100*c.Share, 1e3*c.ServiceSec, 1e3*c.SwitchInSec)
 	}
-	fprintf(w, "\ncapacity %.1f req/s, seed %d, schedules built in %.0f ms\n",
-		r.CapacityPerSec, r.Seed, r.ScheduleMs)
+	fprintf(w, "\ncapacity %.1f req/s, seed %d\n", r.CapacityPerSec, r.Seed)
 	for _, gs := range r.Guards {
 		g := gs.Guard
 		fprintf(w, "\nguard %s", g.Name)

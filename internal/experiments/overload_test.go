@@ -71,12 +71,11 @@ func TestOverloadSweep(t *testing.T) {
 			daAt2.GoodputPerSec, rawAt2.GoodputPerSec)
 	}
 
-	// Determinism: a second sweep is bit-identical modulo wall clock.
+	// Determinism: a second sweep is bit-identical.
 	res2, err := s.overloadSweep(t.Context(), 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.ScheduleMs, res2.ScheduleMs = 0, 0
 	if !reflect.DeepEqual(res, res2) {
 		t.Fatal("two sweeps with the same seed differ")
 	}

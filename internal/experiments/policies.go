@@ -20,8 +20,7 @@ import (
 // arrival rates push the package toward saturation. Its JSON output is
 // the checked-in BENCH_policies.json snapshot (regenerate with
 // `go run ./cmd/scarbench -exp policies -benchjson BENCH_policies.json`);
-// everything is seeded, so the snapshot is bit-identical across runs
-// except the informational schedule_ms field.
+// everything is seeded, so the snapshot is bit-identical across runs.
 
 // PolicySweep is one policy's arrival-rate curve.
 type PolicySweep struct {
@@ -43,9 +42,6 @@ type PoliciesResult struct {
 	// the sweep normalizes against; Seed the sweep's base RNG seed.
 	CapacityPerSec float64 `json:"capacity_per_sec"`
 	Seed           int64   `json:"seed"`
-	// ScheduleMs is the wall-clock time spent producing the class
-	// schedules (informational; cold cost-model warmup included).
-	ScheduleMs float64 `json:"schedule_ms"`
 	// Policies are the per-policy curves, in PolicyNames order.
 	Policies []PolicySweep `json:"policies"`
 }
@@ -71,7 +67,6 @@ func (s *Suite) policiesSweep(ctx context.Context, targetRequests int) (*Policie
 		Classes:        mix.infos,
 		CapacityPerSec: mix.capacityPerSec,
 		Seed:           s.Opts.Seed,
-		ScheduleMs:     mix.scheduleMs,
 	}
 	for _, name := range online.PolicyNames() {
 		pol, err := online.PolicyByName(name)
@@ -107,8 +102,7 @@ func (r *PoliciesResult) Print(w io.Writer) {
 		fprintf(w, "sc%d (%.0f%%, %.1f ms/req, switch-in %.2f ms)",
 			c.Scenario, 100*c.Share, 1e3*c.ServiceSec, 1e3*c.SwitchInSec)
 	}
-	fprintf(w, "\ncapacity %.1f req/s per package, seed %d, schedules built in %.0f ms\n",
-		r.CapacityPerSec, r.Seed, r.ScheduleMs)
+	fprintf(w, "\ncapacity %.1f req/s per package, seed %d\n", r.CapacityPerSec, r.Seed)
 	for _, ps := range r.Policies {
 		fprintf(w, "\npolicy %s\n", ps.Policy)
 		fprintf(w, "%8s %9s %8s %8s %9s %9s %9s %8s %7s %8s\n",

@@ -56,12 +56,11 @@ func TestPoliciesSweep(t *testing.T) {
 		t.Errorf("switch-aware high-load SLA %v not above fifo's %v", swSLA, fifoSLA)
 	}
 
-	// Determinism: a second sweep is bit-identical modulo wall clock.
+	// Determinism: a second sweep is bit-identical.
 	res2, err := s.policiesSweep(t.Context(), 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.ScheduleMs, res2.ScheduleMs = 0, 0
 	if !reflect.DeepEqual(res, res2) {
 		t.Fatal("two sweeps with the same seed differ")
 	}
