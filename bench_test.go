@@ -236,8 +236,9 @@ func BenchmarkAblationPacking(b *testing.B) {
 // BenchmarkScheduleSerial and BenchmarkScheduleParallel time the Table
 // III Scenario 4 EDP schedule on the Het-Sides 3x3 datacenter package at
 // Workers 1 and GOMAXPROCS: `go test -bench 'Schedule(Serial|Parallel)'`
-// is the serial-vs-parallel A/B. Their results are bit-identical; the
-// Workers 1/4 golden cases in internal/core pin that.
+// is the serial-vs-parallel A/B. The worker count never changes a
+// result: internal/core's golden Workers 1/4 cases and parallel_test.go
+// pin that.
 func benchmarkSchedule(b *testing.B, workers int) {
 	sc, err := scar.ScenarioByNumber(4)
 	if err != nil {
