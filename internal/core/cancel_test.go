@@ -97,7 +97,7 @@ func TestScheduleDeadlinePromptAnytime(t *testing.T) {
 }
 
 // TestScheduleCancelEvolutionary drives the GA path through the same
-// contract (stop propagates through search.Run and the tree-search
+// contract (stop propagates through evolve and the tree-search
 // fallback).
 func TestScheduleCancelEvolutionary(t *testing.T) {
 	db := costdb.New(maestro.DefaultParams())

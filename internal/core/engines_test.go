@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -103,15 +104,31 @@ func TestUniformPackBalancesCounts(t *testing.T) {
 }
 
 func TestCandidatePartitioningsDeduped(t *testing.T) {
-	exp := [][]float64{{1, 1}, {1}}
-	cands := candidatePartitionings(exp, 4, false)
-	seen := map[string]bool{}
-	for _, p := range cands {
-		k := fingerprint(p)
-		if seen[k] {
-			t.Error("duplicate partitioning candidate")
+	r := &run{expLat: [][]float64{{1, 1}, {1}}, opts: Options{NSplits: 4}}
+	cands := candidatePartitionings(r, greedyPacking)
+	if len(cands) == 5 {
+		t.Fatal("no candidate deduplicated")
+	}
+	for i := range cands {
+		for j := range i {
+			if reflect.DeepEqual(cands[i].windows, cands[j].windows) {
+				t.Errorf("candidates %d and %d have the same windows %v", j, i, cands[i].windows)
+			}
 		}
-		seen[k] = true
+	}
+}
+
+// Candidates whose layer ranges differ only above the low 16 bits are
+// distinct: a workload_json model has no layer cap.
+func TestCandidatePartitioningsKeepsWideRanges(t *testing.T) {
+	r := &run{opts: Options{NSplits: 1}}
+	pack := func(_ *run, splits int) partitioning {
+		w := windowAssignment{{First: splits * 65536, Last: 70000}}
+		return partitioning{splits: splits, windows: []windowAssignment{w}}
+	}
+	cands := candidatePartitionings(r, pack)
+	if len(cands) != 2 {
+		t.Fatalf("%d candidates %v, want both of First 0 and 65536", len(cands), cands)
 	}
 }
 
@@ -371,7 +388,7 @@ func TestTreeSearchRespectsAdjacencyAndExclusivity(t *testing.T) {
 	evalWin := func(segs []eval.Segment) eval.WindowEval {
 		return comp.WindowEval(scratch, eval.TimeWindow{Segments: segs})
 	}
-	res := treeSearch(evalWin, pkg.AdjacencyMatrix(), pkg.NumChiplets(), plans, EDPObjective(), 30, 500, rng, false, nil)
+	res := treeSearch(nil, evalWin, pkg.AdjacencyMatrix(), pkg.NumChiplets(), plans, EDPObjective(), 30, 500, rng, false, nil)
 	if !res.found {
 		t.Fatal("tree search found nothing")
 	}

@@ -3,10 +3,10 @@ package core
 import (
 	"cmp"
 	"math"
+	"math/rand"
 	"slices"
 
 	"example.com/scar/internal/eval"
-	"example.com/scar/internal/search"
 )
 
 // This file scales the per-window search to large packages with the
@@ -15,6 +15,16 @@ import (
 // (Figure 5): per model, the segmentation split points, plus the subtree
 // root chiplet and a path-construction preference seed that together
 // determine the chiplet mapping.
+
+// The GA's hyperparameters: the paper's population and generation count,
+// the per-gene mutation probability, and the number of best genomes
+// carried over unchanged into each generation.
+const (
+	gaPopulation  = 10
+	gaGenerations = 4
+	gaMutation    = 0.15
+	gaElite       = 2
+)
 
 // SearchMode selects the per-window search strategy.
 type SearchMode int
@@ -31,7 +41,7 @@ const (
 type evoGenome struct {
 	active []int        // model indices
 	ranges []layerRange // per active model
-	bounds []search.IntRange
+	spans  []int        // gene j takes values in [0, spans[j])
 	// cutsAt[i] is the gene offset of model i's cut genes; rootAt[i]
 	// and seedAt[i] locate its mapping genes.
 	cutsAt []int
@@ -53,14 +63,14 @@ func buildEvoGenome(active []int, ranges []layerRange, allocs []int, chiplets in
 		if nCuts < 0 {
 			nCuts = 0
 		}
-		g.cutsAt = append(g.cutsAt, len(g.bounds))
+		g.cutsAt = append(g.cutsAt, len(g.spans))
 		for c := 0; c < nCuts; c++ {
-			g.bounds = append(g.bounds, search.IntRange{Min: 0, Max: l - 2})
+			g.spans = append(g.spans, l-1)
 		}
-		g.rootAt = append(g.rootAt, len(g.bounds))
-		g.bounds = append(g.bounds, search.IntRange{Min: 0, Max: chiplets - 1})
-		g.seedAt = append(g.seedAt, len(g.bounds))
-		g.bounds = append(g.bounds, search.IntRange{Min: 0, Max: 255})
+		g.rootAt = append(g.rootAt, len(g.spans))
+		g.spans = append(g.spans, chiplets)
+		g.seedAt = append(g.seedAt, len(g.spans))
+		g.spans = append(g.spans, 256)
 		g.order = append(g.order, i)
 	}
 	// Constrained subtrees claim chiplets first, mirroring the tree
@@ -149,6 +159,71 @@ func greedyPath(m intGraph, root, length int, used []bool, seed int) ([]int, boo
 	return path, true
 }
 
+// evolve runs the GA over genomes whose gene j takes values in
+// [0, spans[j]): seeded random initialization, tournament selection,
+// uniform crossover, per-gene mutation and elitism. fitness scores a
+// genome, lower is better, +Inf marking an infeasible one. stop, when
+// non-nil, is polled before every evaluation but the first: once it
+// reports true the run returns its incumbent with stopped set. best is
+// nil when no feasible genome was found.
+func evolve(spans []int, fitness func(genes []int) float64, stop func() bool, seed int64) (best []int, bestFit float64, stopped bool) {
+	rng := rand.New(rand.NewSource(seed))
+	type indiv struct {
+		genes []int
+		fit   float64
+	}
+	bestFit = math.Inf(1)
+	evals := 0
+	halt := func() bool {
+		stopped = stop != nil && evals > 0 && stop()
+		return stopped
+	}
+	score := func(genes []int) indiv {
+		evals++
+		ind := indiv{genes, fitness(genes)}
+		if ind.fit < bestFit {
+			best, bestFit = slices.Clone(genes), ind.fit
+		}
+		return ind
+	}
+	pop := make([]indiv, 0, gaPopulation)
+	for len(pop) < gaPopulation && !halt() {
+		g := make([]int, len(spans))
+		for j, n := range spans {
+			g[j] = rng.Intn(n)
+		}
+		pop = append(pop, score(g))
+	}
+	tournament := func() indiv {
+		a, b := pop[rng.Intn(len(pop))], pop[rng.Intn(len(pop))]
+		if a.fit <= b.fit {
+			return a
+		}
+		return b
+	}
+	for gen := 0; gen < gaGenerations && !stopped; gen++ {
+		slices.SortStableFunc(pop, func(a, b indiv) int { return cmp.Compare(a.fit, b.fit) })
+		next := append(make([]indiv, 0, gaPopulation), pop[:min(gaElite, len(pop))]...)
+		for len(next) < gaPopulation && !halt() {
+			pa, pb := tournament(), tournament()
+			child := make([]int, len(spans))
+			for j := range child {
+				if rng.Intn(2) == 0 {
+					child[j] = pa.genes[j]
+				} else {
+					child[j] = pb.genes[j]
+				}
+				if rng.Float64() < gaMutation {
+					child[j] = rng.Intn(spans[j])
+				}
+			}
+			next = append(next, score(child))
+		}
+		pop = next
+	}
+	return best, bestFit, stopped
+}
+
 // searchWindowEvo is the evolutionary counterpart of searchWindow: PROV
 // provisions nodes, then the GA explores segmentation and mapping
 // together. Falls back to the brute-force tree search when the GA cannot
@@ -160,27 +235,14 @@ func greedyPath(m intGraph, root, length int, used []bool, seed int) ([]int, boo
 // shared with the fallback, since duplicate genomes and the fallback's
 // placements can score one leaf twice.
 func (s *Scheduler) searchWindowEvo(r *run, self int, w windowAssignment, seed int64, leaves *windowCache) windowOutcome {
-	var active []int
-	var ranges []layerRange
-	var weights []float64
-	var layerCounts []int
-	for mi, rg := range w {
-		if rg.empty() {
-			continue
-		}
-		active = append(active, mi)
-		ranges = append(ranges, rg)
-		var lat, eng float64
-		for li := rg.First; li <= rg.Last; li++ {
-			lat += r.expLat[mi][li]
-			eng += r.expE[mi][li]
-		}
-		weights = append(weights, r.obj.proxy(lat, eng))
-		layerCounts = append(layerCounts, rg.numLayers())
-	}
-	alloc, err := provisionRule(weights, layerCounts, r.m.NumChiplets(), r.opts.NodeAllocCap)
+	active, weights, layers := r.activeModels(w)
+	alloc, err := provisionRule(weights, layers, r.m.NumChiplets(), r.opts.NodeAllocCap)
 	if err != nil {
 		return windowOutcome{err: err}
+	}
+	ranges := make([]layerRange, len(active))
+	for i, mi := range active {
+		ranges[i] = w[mi]
 	}
 
 	graph := intGraph{n: r.m.NumChiplets(), adj: r.adj}
@@ -194,23 +256,16 @@ func (s *Scheduler) searchWindowEvo(r *run, self int, w windowAssignment, seed i
 		evals++
 		return r.obj.windowScore(r.window(self, leaves, segs, nil))
 	}
-	gaOpts := r.opts.Evo
-	gaOpts.Seed = mixSeed(seed, 3)
-	res, err := search.Run(search.Problem{
-		Bounds:  genome.bounds,
-		Fitness: fitness,
-		Stop:    r.searchStop,
-	}, gaOpts)
+	best, _, stopped := evolve(genome.spans, fitness, r.searchStop, mixSeed(seed, 3))
 	var out windowOutcome
-	ok := err == nil && !math.IsInf(res.BestFitness, 1)
-	if ok {
-		out.segs, ok = genome.decode(res.Best, graph)
-	}
-	if !ok {
+	if best != nil {
+		// best scored below +Inf, so it decodes.
+		out.segs, _ = genome.decode(best, graph)
+	} else {
 		// GA found nothing feasible: fall back to the tree search.
 		out = s.searchWindow(r, self, w, seed, leaves)
 	}
 	out.evals += evals
-	out.aborted = out.aborted || res.Stopped
+	out.aborted = out.aborted || stopped
 	return out
 }

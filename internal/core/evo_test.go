@@ -2,13 +2,17 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"example.com/scar/internal/costdb"
 	"example.com/scar/internal/maestro"
 	"example.com/scar/internal/mcm"
-	"example.com/scar/internal/search"
 )
 
 func TestEvolutionarySchedule3x3(t *testing.T) {
@@ -17,7 +21,6 @@ func TestEvolutionarySchedule3x3(t *testing.T) {
 	sc := smallScenario()
 	opts := FastOptions()
 	opts.Search = SearchEvolutionary
-	opts.Evo = search.Options{Population: 10, Generations: 4, MutationRate: 0.2, Elite: 2, Seed: 1}
 	s := New(db, opts)
 	res, err := s.Schedule(context.Background(), NewRequest(&sc, pkg, EDPObjective()))
 	if err != nil {
@@ -136,5 +139,144 @@ func TestGreedyPathDeadEnd(t *testing.T) {
 	// impossible.
 	if _, ok := greedyPath(g, 0, 2, used, 3); ok {
 		t.Error("dead-end path accepted")
+	}
+}
+
+// sphere is a separable convex fitness with its minimum at target.
+func sphere(target []int) func([]int) float64 {
+	return func(g []int) float64 {
+		var s float64
+		for i, v := range g {
+			d := float64(v - target[i])
+			s += d * d
+		}
+		return s
+	}
+}
+
+// Property: at the paper's hyperparameters evolve is the generic GA
+// engine it replaced. Over random gene spans, fitness functions with
+// infeasible (+Inf) regions and ties, and stop checks that fire after N
+// evaluations, it scores the same genomes in the same order and returns
+// the same best genome, fitness and stop flag.
+func TestEvolveMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 600; trial++ {
+		spans := make([]int, 1+rng.Intn(8))
+		for j := range spans {
+			spans[j] = 1 + rng.Intn(300)
+			if rng.Intn(4) == 0 {
+				spans[j] = 1 + rng.Intn(3)
+			}
+		}
+		// infeasible of 8 hash buckets score +Inf: none, some, or all.
+		infeasible := uint64(rng.Intn(9))
+		salt := rng.Uint64()
+		stopAfter := 0
+		if rng.Intn(3) == 0 {
+			stopAfter = 1 + rng.Intn(60)
+		}
+		seed := rng.Int63()
+
+		record := func(seen *[][]int) (func([]int) float64, func() bool) {
+			fitness := func(g []int) float64 {
+				*seen = append(*seen, slices.Clone(g))
+				h := salt
+				for _, v := range g {
+					h = (h ^ uint64(v)) * 1099511628211
+				}
+				if h%8 < infeasible {
+					return math.Inf(1)
+				}
+				return float64(h >> 8 % 64)
+			}
+			var stop func() bool
+			if stopAfter > 0 {
+				stop = func() bool { return len(*seen) >= stopAfter }
+			}
+			return fitness, stop
+		}
+
+		var wantSeen [][]int
+		fitness, stop := record(&wantSeen)
+		bounds := make([]refRange, len(spans))
+		for j, n := range spans {
+			bounds[j] = refRange{Min: 0, Max: n - 1}
+		}
+		o := refDefaultOptions()
+		o.Seed = seed
+		want, err := referenceGA(refProblem{Bounds: bounds, Fitness: fitness, Stop: stop}, o)
+		if (err != nil) != (want.Best == nil) {
+			t.Fatalf("trial %d: reference error %v with best %v", trial, err, want.Best)
+		}
+
+		var gotSeen [][]int
+		fitness, stop = record(&gotSeen)
+		best, fit, stopped := evolve(spans, fitness, stop, seed)
+
+		label := fmt.Sprintf("trial %d (spans %v, %d/8 infeasible, stop after %d)", trial, spans, infeasible, stopAfter)
+		if !reflect.DeepEqual(best, want.Best) || fit != want.BestFitness || stopped != want.Stopped {
+			t.Fatalf("%s: best %v fitness %v stopped %v, reference %v %v %v",
+				label, best, fit, stopped, want.Best, want.BestFitness, want.Stopped)
+		}
+		if !reflect.DeepEqual(gotSeen, wantSeen) {
+			t.Fatalf("%s: scored %d genomes, reference %d, or in another order", label, len(gotSeen), len(wantSeen))
+		}
+	}
+}
+
+func TestGAFindsEasyOptimum(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		best, fit, _ := evolve([]int{6, 6}, sphere([]int{3, 3}), nil, seed)
+		if fit > 2 {
+			t.Errorf("seed %d: best fitness %v, want near 0 (best %v)", seed, fit, best)
+		}
+	}
+}
+
+func TestGADeterministic(t *testing.T) {
+	a, aFit, _ := evolve([]int{100, 100}, sphere([]int{50, 51}), nil, 1)
+	b, bFit, _ := evolve([]int{100, 100}, sphere([]int{50, 51}), nil, 1)
+	if aFit != bFit || !slices.Equal(a, b) {
+		t.Errorf("non-deterministic: %v (%v) vs %v (%v)", a, aFit, b, bFit)
+	}
+}
+
+func TestGAHandlesInfeasibleRegions(t *testing.T) {
+	// Half the space is infeasible; the GA must still return a feasible
+	// genome.
+	best, _, _ := evolve([]int{10}, func(g []int) float64 {
+		if g[0]%2 == 1 {
+			return math.Inf(1)
+		}
+		return float64(g[0])
+	}, nil, 1)
+	if best == nil || best[0]%2 == 1 {
+		t.Errorf("infeasible best genome %v", best)
+	}
+}
+
+// Property: the best genome always lies within its spans, and a run
+// stopped after n evaluations never beats the full run of the same seed.
+func TestQuickGABoundsAndMonotone(t *testing.T) {
+	f := func(seed int64, t3, n uint8) bool {
+		spans := []int{8, 5, 3}
+		fitness := sphere([]int{int(t3 % 8), int(t3 % 5), int(t3 % 3)})
+		full, fullFit, _ := evolve(spans, fitness, nil, seed)
+		evals := 0
+		counted := func(g []int) float64 {
+			evals++
+			return fitness(g)
+		}
+		_, stoppedFit, _ := evolve(spans, counted, func() bool { return evals >= int(n%50) }, seed)
+		for i, v := range full {
+			if v < 0 || v >= spans[i] {
+				return false
+			}
+		}
+		return fullFit <= stoppedFit
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
 	}
 }

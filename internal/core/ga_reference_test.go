@@ -1,10 +1,4 @@
-// Package search provides the evolutionary search engine SCAR uses to
-// scale the SEG/SCHED exploration to large packages (Section V-D: a 6x6
-// MCM with population size 10 and 4 generations). The genome is a flat
-// integer vector with per-gene bounds; the paper's scheduling encoding
-// (segmentation splits plus chiplet mappings, Figure 5) maps naturally
-// onto it.
-package search
+package core
 
 import (
 	"fmt"
@@ -13,31 +7,37 @@ import (
 	"sort"
 )
 
-// IntRange bounds one gene: values lie in [Min, Max] inclusive.
-type IntRange struct {
+// This file keeps the generic GA engine evolve replaced, as the test-only
+// oracle of TestEvolveMatchesReference: at the paper's hyperparameters,
+// with every gene's minimum at 0, evolve must draw the same values in the
+// same order and return the same result. It runs the GA over integer
+// genomes with per-gene bounds.
+
+// refRange bounds one gene: values lie in [Min, Max] inclusive.
+type refRange struct {
 	Min, Max int
 }
 
-func (r IntRange) span() int { return r.Max - r.Min + 1 }
+func (r refRange) span() int { return r.Max - r.Min + 1 }
 
-// Problem defines a GA minimization problem over integer genomes.
-type Problem struct {
+// refProblem defines a GA minimization problem over integer genomes.
+type refProblem struct {
 	// Bounds gives each gene's inclusive range.
-	Bounds []IntRange
+	Bounds []refRange
 	// Fitness scores a genome; lower is better. Return +Inf for
 	// infeasible genomes.
 	Fitness func(genes []int) float64
 	// Stop, when non-nil, is polled between fitness evaluations: once
 	// it reports true the run returns the best genome found so far with
-	// Result.Stopped set (at least one genome is always evaluated
+	// refResult.Stopped set (at least one genome is always evaluated
 	// first). A nil or never-true Stop leaves the run bit-identical to
 	// one without it.
 	Stop func() bool
 }
 
-// Options are the GA hyperparameters. The paper's 6x6 experiment uses
+// refOptions are the GA hyperparameters. The paper's 6x6 experiment uses
 // Population 10 and Generations 4.
-type Options struct {
+type refOptions struct {
 	Population  int
 	Generations int
 	// MutationRate is the per-gene mutation probability.
@@ -48,34 +48,34 @@ type Options struct {
 	Seed int64
 }
 
-// DefaultOptions mirrors the paper's evolutionary configuration.
-func DefaultOptions() Options {
-	return Options{Population: 10, Generations: 4, MutationRate: 0.15, Elite: 2, Seed: 1}
+// refDefaultOptions mirrors the paper's evolutionary configuration.
+func refDefaultOptions() refOptions {
+	return refOptions{Population: 10, Generations: 4, MutationRate: 0.15, Elite: 2, Seed: 1}
 }
 
-// Result carries the best genome found and search statistics.
-type Result struct {
+// refResult carries the best genome found and search statistics.
+type refResult struct {
 	Best        []int
 	BestFitness float64
 	Evaluations int
-	// Stopped marks a run cut short by Problem.Stop; Best is the
+	// Stopped marks a run cut short by refProblem.Stop; Best is the
 	// incumbent at that point (possibly nil when stopped before any
 	// feasible genome appeared).
 	Stopped bool
 }
 
-// Run executes the GA: seeded random initialization, tournament
+// referenceGA executes the GA: seeded random initialization, tournament
 // selection, uniform crossover, bounded per-gene mutation, elitism.
-func Run(p Problem, o Options) (Result, error) {
+func referenceGA(p refProblem, o refOptions) (refResult, error) {
 	if len(p.Bounds) == 0 {
-		return Result{}, fmt.Errorf("search: empty genome")
+		return refResult{}, fmt.Errorf("reference GA: empty genome")
 	}
 	if p.Fitness == nil {
-		return Result{}, fmt.Errorf("search: nil fitness")
+		return refResult{}, fmt.Errorf("reference GA: nil fitness")
 	}
 	for i, b := range p.Bounds {
 		if b.Max < b.Min {
-			return Result{}, fmt.Errorf("search: gene %d has inverted bounds [%d,%d]", i, b.Min, b.Max)
+			return refResult{}, fmt.Errorf("reference GA: gene %d has inverted bounds [%d,%d]", i, b.Min, b.Max)
 		}
 	}
 	if o.Population < 2 {
@@ -90,7 +90,7 @@ func Run(p Problem, o Options) (Result, error) {
 		genes []int
 		fit   float64
 	}
-	res := Result{BestFitness: math.Inf(1)}
+	res := refResult{BestFitness: math.Inf(1)}
 	score := func(genes []int) float64 {
 		res.Evaluations++
 		return p.Fitness(genes)
@@ -163,7 +163,7 @@ generations:
 		pop = next
 	}
 	if res.Best == nil {
-		return res, fmt.Errorf("search: no feasible genome found")
+		return res, fmt.Errorf("reference GA: no feasible genome found")
 	}
 	return res, nil
 }

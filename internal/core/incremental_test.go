@@ -126,7 +126,7 @@ func TestIncrementalTreeSearchMatchesWindowEval(t *testing.T) {
 			want = append(want, scoredLeaf{slices.Clone(segs), we})
 			return we
 		}
-		wantRes := treeSearch(full, adj, chiplets, plans, obj, maxTrees, budget,
+		wantRes := treeSearch(nil, full, adj, chiplets, plans, obj, maxTrees, budget,
 			rand.New(rand.NewSource(seed)), free, stopAfterLeaves(&want, stopAfter))
 
 		paths := &pathPasses{comp: st.comp}
@@ -139,7 +139,7 @@ func TestIncrementalTreeSearchMatchesWindowEval(t *testing.T) {
 			got = append(got, scoredLeaf{slices.Clone(segs), we})
 			return we
 		}
-		gotRes := incrementalTreeSearch(paths, incremental, adj, chiplets, plans, obj, maxTrees, budget,
+		gotRes := treeSearch(paths, incremental, adj, chiplets, plans, obj, maxTrees, budget,
 			rand.New(rand.NewSource(seed)), free, stopAfterLeaves(&got, stopAfter))
 
 		if !reflect.DeepEqual(gotRes, wantRes) {

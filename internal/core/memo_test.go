@@ -22,7 +22,7 @@ func scheduleCounting(t *testing.T, s *Scheduler, req *Request, memoLeaves bool)
 	opts := req.apply(s.opts)
 	r := s.newRun(context.Background(), req, opts)
 	r.memoLeaves = memoLeaves
-	res, err := s.searchPartitionings(r, candidatePartitionings(r.expLat, opts.NSplits, opts.ExactSplits))
+	res, err := s.searchPartitionings(r, candidatePartitionings(r, greedyPacking))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestMemoSkipsAbortedSearch(t *testing.T) {
 	r := s.newRun(ctx, req, req.apply(s.opts))
 	cancel()
 	r.stopped.Store(true)
-	w := candidatePartitionings(r.expLat, opts.NSplits, opts.ExactSplits)[0].windows[0]
+	w := candidatePartitionings(r, greedyPacking)[0].windows[0]
 	segs, err := s.memoWindow(r, 0, w)
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("aborted search returned no anytime floor: %v", err)

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"example.com/scar/internal/eval"
-	"example.com/scar/internal/search"
 )
 
 // ProvMode selects the PROV engine's node-distribution strategy.
@@ -84,9 +83,6 @@ type Options struct {
 	// RA-tree design choice — the paper's trees follow package
 	// adjacency to keep pipeline hops short.
 	FreePlacement bool
-	// Evo configures the evolutionary search (paper: population 10,
-	// 4 generations).
-	Evo search.Options
 	// Eval configures the schedule evaluator's contention model.
 	Eval eval.Options
 	// Progress, when non-nil, receives anytime-progress snapshots while
@@ -113,7 +109,6 @@ func DefaultOptions() Options {
 		WindowEvalBudget: 1500,
 		Seed:             1,
 		Search:           SearchBruteForce,
-		Evo:              search.DefaultOptions(),
 		Eval:             eval.DefaultOptions(),
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"example.com/scar/internal/eval"
 	"example.com/scar/internal/maestro"
 	"example.com/scar/internal/mcm"
-	"example.com/scar/internal/search"
 	"example.com/scar/internal/workload"
 )
 
@@ -86,7 +85,6 @@ func TestParallelEvolutionaryMatchesSerial(t *testing.T) {
 	sc := smallScenario()
 	opts := FastOptions()
 	opts.Search = SearchEvolutionary
-	opts.Evo = search.Options{Population: 8, Generations: 3, MutationRate: 0.2, Elite: 2, Seed: 1}
 
 	opts.Workers = 1
 	serial, err := New(db, opts).Schedule(context.Background(), NewRequest(&sc, pkg, EDPObjective()))

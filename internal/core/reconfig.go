@@ -132,35 +132,44 @@ func uniformPack(sc *workload.Scenario, nsplits int) partitioning {
 	return partitioning{splits: nsplits, windows: windows}
 }
 
-// candidatePartitionings generates the MCM-Reconfig candidates: greedy
-// packings at every split count from 0 to nsplits (or exactly nsplits
-// when exact is set), deduplicated.
-func candidatePartitionings(exp [][]float64, nsplits int, exact bool) []partitioning {
-	horizon := timeHorizon(exp)
+// packer builds one run's MCM-Reconfig candidate with the given number
+// of splits.
+type packer func(r *run, splits int) partitioning
+
+// greedyPacking is Algorithm 1 over the run's expected layer latencies.
+func greedyPacking(r *run, splits int) partitioning {
+	return greedyPack(r.expLat, timeHorizon(r.expLat), splits)
+}
+
+// uniformPacking is the Section V-E packing ablation.
+func uniformPacking(r *run, splits int) partitioning {
+	return uniformPack(r.sc, splits)
+}
+
+// candidatePartitionings generates the MCM-Reconfig candidates: the
+// packer's partitionings at every split count from 0 to Options.NSplits
+// (or exactly NSplits under Options.ExactSplits), deduplicated on the
+// exact layer ranges of their windows.
+func candidatePartitionings(r *run, pack packer) []partitioning {
 	lo := 0
-	if exact {
-		lo = nsplits
+	if r.opts.ExactSplits {
+		lo = r.opts.NSplits
 	}
 	var out []partitioning
 	seen := map[string]bool{}
-	for j := lo; j <= nsplits; j++ {
-		p := greedyPack(exp, horizon, j)
-		k := fingerprint(p)
-		if !seen[k] {
-			seen[k] = true
+	var key []byte
+	for j := lo; j <= r.opts.NSplits; j++ {
+		p := pack(r, j)
+		// Every window has one range per model, so the concatenated
+		// window keys are exact too.
+		key = key[:0]
+		for _, w := range p.windows {
+			key = appendAssignmentKey(key, w)
+		}
+		if !seen[string(key)] {
+			seen[string(key)] = true
 			out = append(out, p)
 		}
 	}
 	return out
-}
-
-func fingerprint(p partitioning) string {
-	buf := make([]byte, 0, 64)
-	for _, w := range p.windows {
-		for _, r := range w {
-			buf = append(buf, byte(r.First), byte(r.First>>8), byte(r.Last), byte(r.Last>>8))
-		}
-		buf = append(buf, '|')
-	}
-	return string(buf)
 }

@@ -85,20 +85,14 @@ type treeResult struct {
 // segment of a leaf sits on its own chiplet, since roots are reserved up
 // front and every path step is marked used: the invariant incremental
 // leaf scoring (pathPasses) rests on.
+//
+// paths, when non-nil, scores leaves incrementally (see pathPasses): the
+// search resets it for its plans, and evalWin may return
+// paths.window(segs) instead of evaluating the window. With nil paths
+// evalWin scores every leaf in full. The scheduler runs every tree
+// search incrementally, with evalWin keeping the run's counters, context
+// poll and leaf cache.
 func treeSearch(
-	evalWin func(segs []eval.Segment) eval.WindowEval, adj [][]bool, chiplets int,
-	plans []modelPlan, obj Objective, maxTrees, budget int, rng *rand.Rand, freePlacement bool,
-	stop func() bool,
-) treeResult {
-	return incrementalTreeSearch(nil, evalWin, adj, chiplets, plans, obj, maxTrees, budget, rng, freePlacement, stop)
-}
-
-// incrementalTreeSearch is treeSearch with incremental leaf scoring
-// when paths is non-nil (see pathPasses): the search resets paths for
-// its plans, and evalWin may return paths.window(segs) instead of
-// evaluating the window. The scheduler runs every tree search this way,
-// with evalWin keeping the run's counters, context poll and leaf cache.
-func incrementalTreeSearch(
 	paths *pathPasses, evalWin func(segs []eval.Segment) eval.WindowEval, adj [][]bool, chiplets int,
 	plans []modelPlan, obj Objective, maxTrees, budget int, rng *rand.Rand, freePlacement bool,
 	stop func() bool,

@@ -69,6 +69,15 @@ func treeSearchRecorder(
 	return res, seen
 }
 
+// fullTreeSearch is treeSearch scoring every leaf in full, in the
+// reference's signature.
+func fullTreeSearch(
+	evalWin func([]eval.Segment) eval.WindowEval, adj [][]bool, chiplets int,
+	plans []modelPlan, obj Objective, maxTrees, budget int, rng *rand.Rand, free bool, stop func() bool,
+) treeResult {
+	return treeSearch(nil, evalWin, adj, chiplets, plans, obj, maxTrees, budget, rng, free, stop)
+}
+
 // Property: treeSearch returns the reference DFS's result and scores the
 // same windows in the same order, on mesh, triangular and custom-link
 // packages, with and without free placement, at budgets down to 1 and
@@ -118,7 +127,7 @@ func TestTreeSearchMatchesReference(t *testing.T) {
 		salt := rng.Uint64()
 
 		want, wantSeen := treeSearchRecorder(referenceTreeSearch, salt, adj, plans, obj, maxTrees, budget, seed, free, stopAfter)
-		got, gotSeen := treeSearchRecorder(treeSearch, salt, adj, plans, obj, maxTrees, budget, seed, free, stopAfter)
+		got, gotSeen := treeSearchRecorder(fullTreeSearch, salt, adj, plans, obj, maxTrees, budget, seed, free, stopAfter)
 		label := fmt.Sprintf("trial %d (%s, %d plans, maxTrees %d, budget %d, free %v, stop after %d)",
 			trial, pkg.Name, len(plans), maxTrees, budget, free, stopAfter)
 		if !reflect.DeepEqual(got, want) {

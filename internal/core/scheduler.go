@@ -285,25 +285,19 @@ func (r *run) noteCandidate(out *candOutcome) {
 // with Result.Partial set — a valid schedule of possibly lower quality —
 // or ctx's error when no feasible schedule had been found yet.
 func (s *Scheduler) Schedule(ctx context.Context, req *Request) (*Result, error) {
-	if err := req.validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: schedule request not started: %w", err)
-	}
-	opts := req.apply(s.opts)
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	r := s.newRun(ctx, req, opts)
-	cands := candidatePartitionings(r.expLat, opts.NSplits, opts.ExactSplits)
-	return s.searchPartitionings(r, cands)
+	return s.schedule(ctx, req, greedyPacking)
 }
 
 // ScheduleUniformPacking is the Section V-E packing-ablation entry point:
 // identical to Schedule but with count-uniform layer-to-window packing in
 // place of Algorithm 1.
 func (s *Scheduler) ScheduleUniformPacking(ctx context.Context, req *Request) (*Result, error) {
+	return s.schedule(ctx, req, uniformPacking)
+}
+
+// schedule validates the request and its effective options, then
+// searches the MCM-Reconfig candidates the packer builds.
+func (s *Scheduler) schedule(ctx context.Context, req *Request, pack packer) (*Result, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
@@ -315,21 +309,7 @@ func (s *Scheduler) ScheduleUniformPacking(ctx context.Context, req *Request) (*
 		return nil, err
 	}
 	r := s.newRun(ctx, req, opts)
-	lo := 0
-	if opts.ExactSplits {
-		lo = opts.NSplits
-	}
-	var cands []partitioning
-	seen := map[string]bool{}
-	for j := lo; j <= opts.NSplits; j++ {
-		p := uniformPack(req.Scenario, j)
-		k := fingerprint(p)
-		if !seen[k] {
-			seen[k] = true
-			cands = append(cands, p)
-		}
-	}
-	return s.searchPartitionings(r, cands)
+	return s.searchPartitionings(r, candidatePartitionings(r, pack))
 }
 
 // candOutcome is one candidate's end-to-end search result.
@@ -522,23 +502,7 @@ type comboTask struct {
 // combo task still evaluates its first reachable leaf (the anytime floor:
 // a feasible, if unoptimized, mapping) before aborting.
 func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int64, leaves *windowCache) windowOutcome {
-	// Active models and their objective-proxy weights E(P_i).
-	var active []int
-	var weights []float64
-	var layerCounts []int
-	for mi, rg := range w {
-		if rg.empty() {
-			continue
-		}
-		active = append(active, mi)
-		var lat, eng float64
-		for li := rg.First; li <= rg.Last; li++ {
-			lat += r.expLat[mi][li]
-			eng += r.expE[mi][li]
-		}
-		weights = append(weights, r.obj.proxy(lat, eng))
-		layerCounts = append(layerCounts, rg.numLayers())
-	}
+	active, weights, layers := r.activeModels(w)
 	if len(active) == 0 {
 		return windowOutcome{err: fmt.Errorf("empty window")}
 	}
@@ -547,13 +511,13 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 	var allocOptions [][]int
 	switch r.opts.Prov {
 	case ProvExhaustive:
-		opts, err := provisionExhaustive(weights, layerCounts, r.m.NumChiplets(), r.opts.NodeAllocCap, r.opts.MaxProvOptions)
+		opts, err := provisionExhaustive(weights, layers, r.m.NumChiplets(), r.opts.NodeAllocCap, r.opts.MaxProvOptions)
 		if err != nil {
 			return windowOutcome{err: err}
 		}
 		allocOptions = opts
 	default:
-		alloc, err := provisionRule(weights, layerCounts, r.m.NumChiplets(), r.opts.NodeAllocCap)
+		alloc, err := provisionRule(weights, layers, r.m.NumChiplets(), r.opts.NodeAllocCap)
 		if err != nil {
 			return windowOutcome{err: err}
 		}
@@ -607,7 +571,7 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 		evalWin := func(segs []eval.Segment) eval.WindowEval {
 			return r.window(worker, leaves, segs, paths)
 		}
-		results[ti] = incrementalTreeSearch(
+		results[ti] = treeSearch(
 			paths, evalWin, r.adj, r.m.NumChiplets(),
 			t.plans, r.obj, r.opts.MaxTrees, t.budget, ws.rng, r.opts.FreePlacement,
 			r.searchStop,
@@ -628,6 +592,26 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 	}
 	out.segs = best.segments
 	return out
+}
+
+// activeModels returns PROV's inputs for one window: the models with
+// layers in it, and per active model its objective-proxy weight E(P_i)
+// and layer count.
+func (r *run) activeModels(w windowAssignment) (active []int, weights []float64, layers []int) {
+	for mi, rg := range w {
+		if rg.empty() {
+			continue
+		}
+		active = append(active, mi)
+		var lat, eng float64
+		for li := rg.First; li <= rg.Last; li++ {
+			lat += r.expLat[mi][li]
+			eng += r.expE[mi][li]
+		}
+		weights = append(weights, r.obj.proxy(lat, eng))
+		layers = append(layers, rg.numLayers())
+	}
+	return active, weights, layers
 }
 
 // rankedCombos enumerates index tuples over the per-model candidate

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -257,19 +256,5 @@ func PerModelLatencyBoundedEDP(bounds map[int]float64) Score {
 			}
 		}
 		return m.EDP
-	}
-}
-
-// ScoreByName resolves "latency", "energy" or "edp".
-func ScoreByName(name string) (Score, error) {
-	switch name {
-	case "latency":
-		return LatencyScore, nil
-	case "energy":
-		return EnergyScore, nil
-	case "edp":
-		return EDPScore, nil
-	default:
-		return nil, fmt.Errorf("eval: unknown optimization metric %q", name)
 	}
 }

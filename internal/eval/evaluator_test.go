@@ -254,22 +254,6 @@ func TestContentionFactorsGrowWithFlows(t *testing.T) {
 	}
 }
 
-func TestScoreByName(t *testing.T) {
-	m := Metrics{LatencySec: 2, EnergyJ: 3, EDP: 6}
-	for name, want := range map[string]float64{"latency": 2, "energy": 3, "edp": 6} {
-		s, err := ScoreByName(name)
-		if err != nil {
-			t.Fatalf("ScoreByName(%q): %v", name, err)
-		}
-		if got := s(m); got != want {
-			t.Errorf("%s score = %v, want %v", name, got, want)
-		}
-	}
-	if _, err := ScoreByName("power"); err == nil {
-		t.Error("unknown metric accepted")
-	}
-}
-
 func TestLatencyBoundedEDP(t *testing.T) {
 	s := LatencyBoundedEDP(1.0)
 	ok := Metrics{LatencySec: 0.5, EnergyJ: 2, EDP: 1}

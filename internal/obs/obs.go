@@ -35,9 +35,6 @@ type Config struct {
 	// retains (ring buffer, oldest overwritten). 0 means
 	// DefaultTraceBuffer; negative disables tracing entirely.
 	TraceBuffer int
-	// MaxPhases bounds recorded phase spans per request (0 = default;
-	// see NewTracer).
-	MaxPhases int
 }
 
 // Obs bundles one deployment's observability handles: the metrics
@@ -61,7 +58,7 @@ func New(cfg Config) *Obs {
 	}
 	var tr *Tracer
 	if buf > 0 {
-		tr = NewTracer(buf, cfg.MaxPhases)
+		tr = NewTracer(buf, DefaultMaxPhases)
 	}
 	log := cfg.Log
 	if log == nil {
