@@ -296,8 +296,8 @@ func TestSampledSegmentationsRespectBounds(t *testing.T) {
 }
 
 func TestRootTuplesInjectiveAndCapped(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	tuples := rootTuples(9, 3, 20, rng)
+	src := newRandSource(1)
+	tuples := rootTuples(9, 3, 20, src)
 	if len(tuples) == 0 || len(tuples) > 20 {
 		t.Fatalf("tuples = %d, want 1..20", len(tuples))
 	}
@@ -323,7 +323,7 @@ func TestRootTuplesInjectiveAndCapped(t *testing.T) {
 		}
 		seen[k] = true
 	}
-	if got := rootTuples(2, 3, 10, rng); got != nil {
+	if got := rootTuples(2, 3, 10, src); got != nil {
 		t.Error("arity > chiplets should yield nil")
 	}
 }
@@ -384,11 +384,10 @@ func TestTreeSearchRespectsAdjacencyAndExclusivity(t *testing.T) {
 		{model: 0, r: layerRange{0, 2}, ends: []int{0, 1, 2}}, // 3 segments
 		{model: 1, r: layerRange{0, 1}, ends: []int{0, 1}},    // 2 segments
 	}
-	rng := rand.New(rand.NewSource(5))
 	evalWin := func(segs []eval.Segment) eval.WindowEval {
 		return comp.WindowEval(scratch, eval.TimeWindow{Segments: segs})
 	}
-	res := treeSearch(nil, evalWin, pkg.AdjacencyMatrix(), pkg.NumChiplets(), plans, EDPObjective(), 30, 500, rng, false, nil)
+	res := treeSearch(nil, evalWin, pkg.AdjacencyMatrix(), pkg.NumChiplets(), plans, EDPObjective(), 30, 500, newRandSource(5), false, nil)
 	if !res.found {
 		t.Fatal("tree search found nothing")
 	}

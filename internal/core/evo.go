@@ -167,7 +167,7 @@ func greedyPath(m intGraph, root, length int, used []bool, seed int) ([]int, boo
 // reports true the run returns its incumbent with stopped set. best is
 // nil when no feasible genome was found.
 func evolve(spans []int, fitness func(genes []int) float64, stop func() bool, seed int64) (best []int, bestFit float64, stopped bool) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(newRandSource(seed))
 	type indiv struct {
 		genes []int
 		fit   float64

@@ -127,7 +127,7 @@ func TestIncrementalTreeSearchMatchesWindowEval(t *testing.T) {
 			return we
 		}
 		wantRes := treeSearch(nil, full, adj, chiplets, plans, obj, maxTrees, budget,
-			rand.New(rand.NewSource(seed)), free, stopAfterLeaves(&want, stopAfter))
+			newRandSource(seed), free, stopAfterLeaves(&want, stopAfter))
 
 		paths := &pathPasses{comp: st.comp}
 		var got []scoredLeaf
@@ -140,7 +140,7 @@ func TestIncrementalTreeSearchMatchesWindowEval(t *testing.T) {
 			return we
 		}
 		gotRes := treeSearch(paths, incremental, adj, chiplets, plans, obj, maxTrees, budget,
-			rand.New(rand.NewSource(seed)), free, stopAfterLeaves(&got, stopAfter))
+			newRandSource(seed), free, stopAfterLeaves(&got, stopAfter))
 
 		if !reflect.DeepEqual(gotRes, wantRes) {
 			t.Fatalf("%s: result %+v, want %+v", label, gotRes, wantRes)

@@ -72,7 +72,10 @@ type Options struct {
 	// WindowEvalBudget caps full window-schedule evaluations per
 	// window; the tree search stops once it is exhausted.
 	WindowEvalBudget int
-	// Seed drives the SEG engine's sampling fallback.
+	// Seed is the root of every seeded random stream of a search: each
+	// window search derives its own seed from it and the window's layer
+	// ranges, and from that the streams of SEG's sampling fallback, of
+	// SCHED's root-tuple sampling and of the evolutionary search.
 	Seed int64
 	// Search selects brute-force tree search (3x3 default) or the
 	// evolutionary algorithm (the paper's 6x6 configuration).

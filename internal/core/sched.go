@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"math/bits"
-	"math/rand"
 	"slices"
 
 	"example.com/scar/internal/eval"
@@ -62,7 +61,7 @@ type treeResult struct {
 //
 // The search itself is serial and self-contained — evalWin scores leaf
 // windows (it must not retain the segment slice, which the search
-// rewrites in place), adj/chiplets carry the package shape, rng is the
+// rewrites in place), adj/chiplets carry the package shape, src is the
 // task's private stream — which is what lets the scheduler fan many
 // tree searches out across workers.
 //
@@ -94,7 +93,7 @@ type treeResult struct {
 // poll and leaf cache.
 func treeSearch(
 	paths *pathPasses, evalWin func(segs []eval.Segment) eval.WindowEval, adj [][]bool, chiplets int,
-	plans []modelPlan, obj Objective, maxTrees, budget int, rng *rand.Rand, freePlacement bool,
+	plans []modelPlan, obj Objective, maxTrees, budget int, src *randSource, freePlacement bool,
 	stop func() bool,
 ) treeResult {
 	ordered := slices.Clone(plans)
@@ -102,7 +101,7 @@ func treeSearch(
 		return cmp.Compare(b.numSegments(), a.numSegments())
 	})
 
-	tuples := rootTuples(chiplets, len(ordered), maxTrees, rng)
+	tuples := rootTuples(chiplets, len(ordered), maxTrees, src)
 	if len(tuples) == 0 {
 		return treeResult{}
 	}
@@ -344,7 +343,7 @@ func (t *treeWalk) extend(k, q, cur int) {
 // stable) followed by deterministic seeded samples for coverage of the
 // forest. Sampling stops early once every one of the
 // chiplets!/(chiplets-arity)! tuples has been found.
-func rootTuples(chiplets, arity, maxTrees int, rng *rand.Rand) [][]int {
+func rootTuples(chiplets, arity, maxTrees int, src *randSource) [][]int {
 	if arity > chiplets || arity == 0 {
 		return nil
 	}
@@ -354,43 +353,46 @@ func rootTuples(chiplets, arity, maxTrees int, rng *rand.Rand) [][]int {
 		space *= chiplets - i
 	}
 	// Accepted tuples are copied into one backing array sized for all of
-	// them. keys[i] packs out[i] into width-bit fields; on wide tuples
-	// the packing overflows and two tuples can share a key, so a key
-	// match is confirmed element by element.
+	// them, and indexed by an open-addressed table at most half full whose
+	// slots hold an index into out plus one (0 marks an empty slot). A
+	// tuple's slot is found from its key, which packs it into width-bit
+	// fields; on wide tuples the packing overflows and two tuples can
+	// share a key, so every probe compares the tuples themselves.
 	n := min(maxTrees, space)
 	flat := make([]int, 0, n*arity)
 	out := make([][]int, 0, n)
-	keys := make([]uint64, 0, n)
+	tableBits := bits.Len(uint(2*max(n, 1) - 1))
+	table := make([]int32, 1<<tableBits) // n fits: out holds n slices
+	mask := len(table) - 1
 	width := bits.Len(uint(chiplets - 1))
-	add := func(t []int) {
-		var key uint64
-		for _, c := range t {
-			key = key<<width | uint64(c)
-		}
-		for i, k := range keys {
-			if k == key && slices.Equal(out[i], t) {
-				return
-			}
-		}
-		keys = append(keys, key)
-		flat = append(flat, t...)
-		out = append(out, flat[len(flat)-arity:len(flat):len(flat)])
-	}
 	perm := make([]int, chiplets)
 	for i := range perm {
 		perm[i] = i
 	}
-	add(perm[:arity])
-	// Sampling with rejection; the attempt bound keeps termination
-	// certain when maxTrees approaches the tuple-space size.
-	attempts := maxTrees * 20
-	for len(out) < n && attempts > 0 {
-		attempts--
+	// The canonical tuple goes in first. Sampling is with rejection; the
+	// attempt bound keeps termination certain when maxTrees approaches
+	// the tuple-space size.
+	for attempts := maxTrees * 20; ; attempts-- {
+		t := perm[:arity]
+		var key uint64
+		for _, c := range t {
+			key = key<<width | uint64(c)
+		}
+		h := int(key * 0x9e3779b97f4a7c15 >> (64 - tableBits))
+		for table[h] != 0 && !slices.Equal(out[table[h]-1], t) {
+			h = (h + 1) & mask
+		}
+		if table[h] == 0 {
+			flat = append(flat, t...)
+			out = append(out, flat[len(flat)-arity:len(flat):len(flat)])
+			table[h] = int32(len(out))
+		}
+		if len(out) >= n || attempts == 0 {
+			return out
+		}
 		for i := range perm {
 			perm[i] = i
 		}
-		rng.Shuffle(chiplets, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		add(perm[:arity])
+		src.shuffle(perm)
 	}
-	return out
 }

@@ -49,12 +49,12 @@ func randomPlans(rng *rand.Rand, maxModels, maxSegs int) []modelPlan {
 	return plans
 }
 
-// treeSearchRecorder runs one tree search with a recording fake
-// evaluator and a stop check that fires on the stopAfter-th leaf (never
-// when stopAfter is 0).
-func treeSearchRecorder(
-	search func(func([]eval.Segment) eval.WindowEval, [][]bool, int, []modelPlan, Objective, int, int, *rand.Rand, bool, func() bool) treeResult,
-	salt uint64, adj [][]bool, plans []modelPlan, obj Objective, maxTrees, budget int, seed int64, free bool, stopAfter int,
+// treeSearchRecorder runs one tree search on the random stream rng with
+// a recording fake evaluator and a stop check that fires on the
+// stopAfter-th leaf (never when stopAfter is 0).
+func treeSearchRecorder[R any](
+	search func(func([]eval.Segment) eval.WindowEval, [][]bool, int, []modelPlan, Objective, int, int, R, bool, func() bool) treeResult,
+	salt uint64, adj [][]bool, plans []modelPlan, obj Objective, maxTrees, budget int, rng R, free bool, stopAfter int,
 ) (treeResult, [][]eval.Segment) {
 	var seen [][]eval.Segment
 	evalWin := func(segs []eval.Segment) eval.WindowEval {
@@ -65,17 +65,17 @@ func treeSearchRecorder(
 	if stopAfter > 0 {
 		stop = func() bool { return len(seen) >= stopAfter }
 	}
-	res := search(evalWin, adj, len(adj), plans, obj, maxTrees, budget, rand.New(rand.NewSource(seed)), free, stop)
+	res := search(evalWin, adj, len(adj), plans, obj, maxTrees, budget, rng, free, stop)
 	return res, seen
 }
 
 // fullTreeSearch is treeSearch scoring every leaf in full, in the
-// reference's signature.
+// reference's signature but for the random source.
 func fullTreeSearch(
 	evalWin func([]eval.Segment) eval.WindowEval, adj [][]bool, chiplets int,
-	plans []modelPlan, obj Objective, maxTrees, budget int, rng *rand.Rand, free bool, stop func() bool,
+	plans []modelPlan, obj Objective, maxTrees, budget int, src *randSource, free bool, stop func() bool,
 ) treeResult {
-	return treeSearch(nil, evalWin, adj, chiplets, plans, obj, maxTrees, budget, rng, free, stop)
+	return treeSearch(nil, evalWin, adj, chiplets, plans, obj, maxTrees, budget, src, free, stop)
 }
 
 // Property: treeSearch returns the reference DFS's result and scores the
@@ -126,8 +126,8 @@ func TestTreeSearchMatchesReference(t *testing.T) {
 		seed := rng.Int63()
 		salt := rng.Uint64()
 
-		want, wantSeen := treeSearchRecorder(referenceTreeSearch, salt, adj, plans, obj, maxTrees, budget, seed, free, stopAfter)
-		got, gotSeen := treeSearchRecorder(fullTreeSearch, salt, adj, plans, obj, maxTrees, budget, seed, free, stopAfter)
+		want, wantSeen := treeSearchRecorder(referenceTreeSearch, salt, adj, plans, obj, maxTrees, budget, rand.New(rand.NewSource(seed)), free, stopAfter)
+		got, gotSeen := treeSearchRecorder(fullTreeSearch, salt, adj, plans, obj, maxTrees, budget, newRandSource(seed), free, stopAfter)
 		label := fmt.Sprintf("trial %d (%s, %d plans, maxTrees %d, budget %d, free %v, stop after %d)",
 			trial, pkg.Name, len(plans), maxTrees, budget, free, stopAfter)
 		if !reflect.DeepEqual(got, want) {
@@ -152,7 +152,7 @@ func TestRootTuplesMatchReference(t *testing.T) {
 		arity := rng.Intn(min(chiplets, 5) + 1)
 		maxTrees := 1 + rng.Intn(80)
 		seed := rng.Int63()
-		got := rootTuples(chiplets, arity, maxTrees, rand.New(rand.NewSource(seed)))
+		got := rootTuples(chiplets, arity, maxTrees, newRandSource(seed))
 		want := referenceRootTuples(chiplets, arity, maxTrees, rand.New(rand.NewSource(seed)))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("rootTuples(%d, %d, %d, seed %d) = %v, want %v", chiplets, arity, maxTrees, seed, got, want)
@@ -165,7 +165,7 @@ func TestRootTuplesMatchReference(t *testing.T) {
 // exactly one tree.
 func TestRootTuplesBeyond256Chiplets(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		tuples := rootTuples(257, 1, 257, rand.New(rand.NewSource(seed)))
+		tuples := rootTuples(257, 1, 257, newRandSource(seed))
 		if len(tuples) != 257 {
 			t.Fatalf("seed %d: %d tuples, want 257", seed, len(tuples))
 		}

@@ -92,8 +92,9 @@ type CandidateMetrics struct {
 
 // workerState is one pool worker's private evaluation state: a compiled-
 // session Scratch, the tree search's per-path passes, a reusable
-// memo-key buffer, an RNG that each task re-seeds with its own derived
-// seed (re-seeding yields the same stream as a fresh generator), the
+// memo-key buffer, a random source that each task re-seeds with its own
+// derived seed (re-seeding yields the same stream as a fresh source)
+// and a *rand.Rand drawing on it for SEG's samples, the
 // count of leaf evaluations the worker was asked for (it paces the
 // context poll) and the count of real leaf evaluations it made (a full
 // WindowEval, or a tree-search leaf combined from its passes). The pool
@@ -103,6 +104,7 @@ type workerState struct {
 	scratch   *eval.Scratch
 	paths     pathPasses
 	key       []byte
+	src       *randSource
 	rng       *rand.Rand
 	leafEvals int
 	calls     int
@@ -181,7 +183,8 @@ func (s *Scheduler) newRun(ctx context.Context, req *Request, opts Options) *run
 	for i := range r.workers {
 		r.workers[i].scratch = r.comp.NewScratch()
 		r.workers[i].paths.comp = r.comp
-		r.workers[i].rng = rand.New(rand.NewSource(0))
+		r.workers[i].src = new(randSource)
+		r.workers[i].rng = rand.New(r.workers[i].src)
 	}
 	return r
 }
@@ -566,14 +569,14 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 	r.pool.forEach(self, len(tasks), func(worker, ti int) {
 		t := tasks[ti]
 		ws := &r.workers[worker]
-		ws.rng.Seed(t.seed)
+		ws.src.Seed(t.seed)
 		paths := &ws.paths
 		evalWin := func(segs []eval.Segment) eval.WindowEval {
 			return r.window(worker, leaves, segs, paths)
 		}
 		results[ti] = treeSearch(
 			paths, evalWin, r.adj, r.m.NumChiplets(),
-			t.plans, r.obj, r.opts.MaxTrees, t.budget, ws.rng, r.opts.FreePlacement,
+			t.plans, r.obj, r.opts.MaxTrees, t.budget, ws.src, r.opts.FreePlacement,
 			r.searchStop,
 		)
 	})

@@ -17,7 +17,7 @@
 //	nodeterm   — no wall clocks, global RNG streams, racy selects, or
 //	             order-sensitive map iteration in the replay-contract
 //	             packages (internal/core, internal/online,
-//	             internal/search, internal/eval)
+//	             internal/eval)
 //	noexit     — no os.Exit / log.Fatal* outside package main
 //
 // Usage (from the tools module; the main module stays dependency-free):

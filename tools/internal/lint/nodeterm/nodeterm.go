@@ -49,7 +49,6 @@ var Analyzer = &analysis.Analyzer{
 var ContractSuffixes = []string{
 	"internal/core",
 	"internal/online",
-	"internal/search",
 	"internal/eval",
 }
 

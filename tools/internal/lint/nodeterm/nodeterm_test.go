@@ -19,7 +19,6 @@ func TestUnderContract(t *testing.T) {
 	for path, want := range map[string]bool{
 		"example.com/scar/internal/core":    true,
 		"example.com/scar/internal/online":  true,
-		"example.com/scar/internal/search":  true,
 		"example.com/scar/internal/eval":    true,
 		"example.com/scar/internal/core/x":  true,
 		"internal/eval":                     true,
