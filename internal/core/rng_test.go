@@ -14,7 +14,7 @@ import (
 // reduction, and again after re-seeding a source that has already drawn.
 func TestRandMatchesReference(t *testing.T) {
 	seeds := []int64{
-		0, 1, -1, lehmerM, -lehmerM, lehmerM - 1, lehmerM + 1, 1 << 31, -1 << 31,
+		0, 1, -1, lehmerM, -lehmerM, lehmerM - 1, 1 << 31, 1<<31 + 1, -1 << 31,
 		89482311, 2 * lehmerM, math.MinInt64, math.MaxInt64,
 	}
 	random := 2000
