@@ -29,13 +29,13 @@ import (
 // paper's side-interface packages is unnecessary — ID order already
 // starts on the left interface column).
 func Standalone(db *costdb.DB, sc *workload.Scenario, m *mcm.MCM, opts eval.Options) (*eval.Schedule, eval.Metrics, error) {
-	return StandaloneOn(eval.New(db, m, sc, opts))
+	return StandaloneOn(eval.Compile(db, m, sc, opts))
 }
 
-// StandaloneOn is Standalone on an existing evaluator, so callers that
-// hold a compiled session (scar.Session) do not compile a second one.
-func StandaloneOn(ev *eval.Evaluator) (*eval.Schedule, eval.Metrics, error) {
-	sc, m := ev.Scenario(), ev.MCM()
+// StandaloneOn is Standalone on an existing compiled session, so callers
+// that hold one (scar.Session) do not compile a second one.
+func StandaloneOn(c *eval.Compiled) (*eval.Schedule, eval.Metrics, error) {
+	sc, m := c.Scenario(), c.MCM()
 	if len(sc.Models) > m.NumChiplets() {
 		return nil, eval.Metrics{}, fmt.Errorf("baselines: %d models exceed %d chiplets", len(sc.Models), m.NumChiplets())
 	}
@@ -49,13 +49,12 @@ func StandaloneOn(ev *eval.Evaluator) (*eval.Schedule, eval.Metrics, error) {
 		})
 	}
 	sched := &eval.Schedule{Windows: []eval.TimeWindow{{Index: 0, Segments: segs}}}
-	return evaluate(ev, sched)
+	return evaluate(c, sched)
 }
 
-// evaluate scores a baseline schedule on the evaluator's compiled
-// session.
-func evaluate(ev *eval.Evaluator, sched *eval.Schedule) (*eval.Schedule, eval.Metrics, error) {
-	metrics, err := ev.Evaluate(sched)
+// evaluate scores a baseline schedule on the compiled session.
+func evaluate(c *eval.Compiled, sched *eval.Schedule) (*eval.Schedule, eval.Metrics, error) {
+	metrics, err := c.Evaluate(c.NewScratch(), sched)
 	if err != nil {
 		return nil, eval.Metrics{}, err
 	}
@@ -68,20 +67,20 @@ func evaluate(ev *eval.Evaluator, sched *eval.Schedule) (*eval.Schedule, eval.Me
 // chiplets only when the model's weights exceed one chiplet's L2
 // capacity.
 func NNBaton(db *costdb.DB, sc *workload.Scenario, m *mcm.MCM, opts eval.Options) (*eval.Schedule, eval.Metrics, error) {
-	return NNBatonOn(eval.New(db, m, sc, opts))
+	return NNBatonOn(eval.Compile(db, m, sc, opts))
 }
 
-// NNBatonOn is NNBaton on an existing evaluator, so callers that hold a
-// compiled session (scar.Session) do not compile a second one.
-func NNBatonOn(ev *eval.Evaluator) (*eval.Schedule, eval.Metrics, error) {
+// NNBatonOn is NNBaton on an existing compiled session, so callers that
+// hold one (scar.Session) do not compile a second one.
+func NNBatonOn(c *eval.Compiled) (*eval.Schedule, eval.Metrics, error) {
 	const start = 0 // the fixed starting chiplet
-	sc, m := ev.Scenario(), ev.MCM()
+	sc, m := c.Scenario(), c.MCM()
 	sched := &eval.Schedule{}
 	for mi, model := range sc.Models {
 		segs := nnBatonModel(mi, model, m, start)
 		sched.Windows = append(sched.Windows, eval.TimeWindow{Index: mi, Segments: segs})
 	}
-	return evaluate(ev, sched)
+	return evaluate(c, sched)
 }
 
 // nnBatonModel packs a model's layers greedily into segments whose weight

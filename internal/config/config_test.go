@@ -131,7 +131,8 @@ func TestExportScheduleRoundTrips(t *testing.T) {
 		{Model: 0, First: 0, Last: 1, Chiplet: 2},
 	}}}}
 	db := costdb.New(maestro.DefaultParams())
-	metrics, err := eval.New(db, m, &sc, eval.DefaultOptions()).Evaluate(sched)
+	comp := eval.Compile(db, m, &sc, eval.DefaultOptions())
+	metrics, err := comp.Evaluate(comp.NewScratch(), sched)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -378,7 +378,7 @@ func TestTreeSearchRespectsAdjacencyAndExclusivity(t *testing.T) {
 		workload.GEMM("b1", 64, 512, 512),
 	})
 	sc := workload.NewScenario("s", a, b)
-	comp := evalNew(db, pkg, &sc).Compile()
+	comp := eval.Compile(db, pkg, &sc, eval.DefaultOptions())
 	scratch := comp.NewScratch()
 	plans := []modelPlan{
 		{model: 0, r: layerRange{0, 2}, ends: []int{0, 1, 2}}, // 3 segments
@@ -387,7 +387,7 @@ func TestTreeSearchRespectsAdjacencyAndExclusivity(t *testing.T) {
 	evalWin := func(segs []eval.Segment) eval.WindowEval {
 		return comp.WindowEval(scratch, eval.TimeWindow{Segments: segs})
 	}
-	res := treeSearch(nil, evalWin, pkg.AdjacencyMatrix(), pkg.NumChiplets(), plans, EDPObjective(), 30, 500, newRandSource(5), false, nil)
+	res := treeSearch(nil, evalWin, successors(pkg.AdjacencyMatrix(), false), pkg.NumChiplets(), plans, EDPObjective(), 30, 500, newRandSource(5), nil)
 	if !res.found {
 		t.Fatal("tree search found nothing")
 	}

@@ -126,8 +126,9 @@ func TestIncrementalTreeSearchMatchesWindowEval(t *testing.T) {
 			want = append(want, scoredLeaf{slices.Clone(segs), we})
 			return we
 		}
-		wantRes := treeSearch(nil, full, adj, chiplets, plans, obj, maxTrees, budget,
-			newRandSource(seed), free, stopAfterLeaves(&want, stopAfter))
+		next := successors(adj, free)
+		wantRes := treeSearch(nil, full, next, chiplets, plans, obj, maxTrees, budget,
+			newRandSource(seed), stopAfterLeaves(&want, stopAfter))
 
 		paths := &pathPasses{comp: st.comp}
 		var got []scoredLeaf
@@ -139,8 +140,8 @@ func TestIncrementalTreeSearchMatchesWindowEval(t *testing.T) {
 			got = append(got, scoredLeaf{slices.Clone(segs), we})
 			return we
 		}
-		gotRes := treeSearch(paths, incremental, adj, chiplets, plans, obj, maxTrees, budget,
-			newRandSource(seed), free, stopAfterLeaves(&got, stopAfter))
+		gotRes := treeSearch(paths, incremental, next, chiplets, plans, obj, maxTrees, budget,
+			newRandSource(seed), stopAfterLeaves(&got, stopAfter))
 
 		if !reflect.DeepEqual(gotRes, wantRes) {
 			t.Fatalf("%s: result %+v, want %+v", label, gotRes, wantRes)

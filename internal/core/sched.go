@@ -55,13 +55,14 @@ type treeResult struct {
 // treeSearch explores up to maxTrees scheduling trees with a total
 // evaluation budget, returning the best window schedule under the
 // objective. Plans are ordered internally by descending segment count so
-// the most constrained subtree claims chiplets first. When freePlacement
-// is set, paths may extend to any unoccupied chiplet instead of
-// interposer neighbors (the mapping-locality ablation).
+// the most constrained subtree claims chiplets first. A path steps from a
+// chiplet only to an unoccupied one of its successors, next[chiplet] (see
+// successors): its interposer neighbors, or every chiplet under free
+// placement (the mapping-locality ablation).
 //
 // The search itself is serial and self-contained — evalWin scores leaf
 // windows (it must not retain the segment slice, which the search
-// rewrites in place), adj/chiplets carry the package shape, src is the
+// rewrites in place), next/chiplets carry the package shape, src is the
 // task's private stream — which is what lets the scheduler fan many
 // tree searches out across workers.
 //
@@ -92,9 +93,8 @@ type treeResult struct {
 // search incrementally, with evalWin keeping the run's counters, context
 // poll and leaf cache.
 func treeSearch(
-	paths *pathPasses, evalWin func(segs []eval.Segment) eval.WindowEval, adj [][]bool, chiplets int,
-	plans []modelPlan, obj Objective, maxTrees, budget int, src *randSource, freePlacement bool,
-	stop func() bool,
+	paths *pathPasses, evalWin func(segs []eval.Segment) eval.WindowEval, next [][]int, chiplets int,
+	plans []modelPlan, obj Objective, maxTrees, budget int, src *randSource, stop func() bool,
 ) treeResult {
 	ordered := slices.Clone(plans)
 	slices.SortStableFunc(ordered, func(a, b modelPlan) int {
@@ -133,7 +133,7 @@ func treeSearch(
 		stop:    stop,
 		budget:  budget,
 		plans:   ordered,
-		next:    successors(adj, freePlacement),
+		next:    next,
 		used:    make([]bool, chiplets),
 		segs:    segs,
 		base:    base,

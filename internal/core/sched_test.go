@@ -75,7 +75,7 @@ func fullTreeSearch(
 	evalWin func([]eval.Segment) eval.WindowEval, adj [][]bool, chiplets int,
 	plans []modelPlan, obj Objective, maxTrees, budget int, src *randSource, free bool, stop func() bool,
 ) treeResult {
-	return treeSearch(nil, evalWin, adj, chiplets, plans, obj, maxTrees, budget, src, free, stop)
+	return treeSearch(nil, evalWin, successors(adj, free), chiplets, plans, obj, maxTrees, budget, src, stop)
 }
 
 // Property: treeSearch returns the reference DFS's result and scores the

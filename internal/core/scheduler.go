@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"example.com/scar/internal/costdb"
 	"example.com/scar/internal/eval"
@@ -127,6 +128,7 @@ type run struct {
 	expE    [][]float64
 	outB    [][]float64 // per-layer output bytes at the model's batch
 	adj     [][]bool
+	next    [][]int // per-chiplet tree-search successors (see successors)
 	pool    *pool
 	workers []workerState
 	memo    *windowMemo
@@ -137,6 +139,9 @@ type run struct {
 	// rule-based tree search that needs none; tests set it to prove
 	// that claim.
 	memoLeaves bool
+
+	// deadline is ctx's deadline (zero when it has none); see expired.
+	deadline time.Time
 
 	// stopped latches the first observation of ctx cancellation so the
 	// per-leaf stop checks are one atomic load; truncated records that
@@ -179,6 +184,8 @@ func (s *Scheduler) newRun(ctx context.Context, req *Request, opts Options) *run
 	}
 	r.expLat, r.expE = s.db.ExpectedLayers(req.Scenario, req.MCM)
 	r.outB = outputBytes(req.Scenario)
+	r.next = successors(r.adj, opts.FreePlacement)
+	r.deadline, _ = ctx.Deadline()
 	r.workers = make([]workerState, r.pool.NWorkers())
 	for i := range r.workers {
 		r.workers[i].scratch = r.comp.NewScratch()
@@ -195,11 +202,31 @@ func (r *run) stop() bool {
 	if r.stopped.Load() {
 		return true
 	}
-	if r.ctx.Err() != nil {
+	if r.expired() {
 		r.stopped.Store(true)
 		return true
 	}
 	return false
+}
+
+// expired reports whether the run's context is cancelled or its deadline
+// has passed. The clock is read, not only ctx.Err: while every P runs a
+// search worker, the context's own timer can fire milliseconds late —
+// long enough for a short search to overrun its deadline in full.
+func (r *run) expired() bool {
+	if r.ctx.Err() != nil {
+		return true
+	}
+	return !r.deadline.IsZero() && !time.Now().Before(r.deadline) //scar:nondeterm deadline check for anytime cancellation; it decides only when a search stops, as ctx.Err does
+}
+
+// cancelErr is the error of a run stopped before any feasible schedule:
+// the context's, or DeadlineExceeded while its timer has yet to fire.
+func (r *run) cancelErr() error {
+	if err := r.ctx.Err(); err != nil {
+		return err
+	}
+	return context.DeadlineExceeded
 }
 
 // searchStop is the per-leaf stop check handed to the tree and
@@ -222,7 +249,7 @@ func (r *run) searchStop() bool { return r.stopped.Load() }
 func (r *run) window(worker int, leaves *windowCache, segs []eval.Segment, paths *pathPasses) eval.WindowEval {
 	ws := &r.workers[worker]
 	ws.leafEvals++
-	if ws.leafEvals&31 == 0 && !r.stopped.Load() && r.ctx.Err() != nil {
+	if ws.leafEvals&31 == 0 && !r.stopped.Load() && r.expired() {
 		r.stopped.Store(true)
 	}
 	if leaves != nil {
@@ -395,8 +422,8 @@ func (s *Scheduler) searchPartitionings(r *run, cands []partitioning) (*Result, 
 		}
 	}
 	if best == nil {
-		if r.stopped.Load() && r.ctx.Err() != nil {
-			return nil, fmt.Errorf("core: search cancelled before any feasible schedule: %w", r.ctx.Err())
+		if r.stopped.Load() {
+			return nil, fmt.Errorf("core: search cancelled before any feasible schedule: %w", r.cancelErr())
 		}
 		if lastErr != nil {
 			return nil, fmt.Errorf("core: no feasible schedule: %w", lastErr)
@@ -575,9 +602,8 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 			return r.window(worker, leaves, segs, paths)
 		}
 		results[ti] = treeSearch(
-			paths, evalWin, r.adj, r.m.NumChiplets(),
-			t.plans, r.obj, r.opts.MaxTrees, t.budget, ws.src, r.opts.FreePlacement,
-			r.searchStop,
+			paths, evalWin, r.next, r.m.NumChiplets(),
+			t.plans, r.obj, r.opts.MaxTrees, t.budget, ws.src, r.searchStop,
 		)
 	})
 	var out windowOutcome

@@ -6,16 +6,11 @@ import (
 
 	"example.com/scar/internal/costdb"
 	"example.com/scar/internal/dataflow"
-	"example.com/scar/internal/eval"
 	"example.com/scar/internal/maestro"
 	"example.com/scar/internal/mcm"
 	"example.com/scar/internal/models"
 	"example.com/scar/internal/workload"
 )
-
-func evalNew(db *costdb.DB, m *mcm.MCM, sc *workload.Scenario) *eval.Evaluator {
-	return eval.New(db, m, sc, eval.DefaultOptions())
-}
 
 // smallScenario is a fast two-model workload for end-to-end tests.
 func smallScenario() workload.Scenario {

@@ -93,7 +93,7 @@ func BenchmarkWindowEval(b *testing.B) {
 // same windows (cost database pre-warmed, as in a long search).
 func BenchmarkWindowEvalLegacy(b *testing.B) {
 	db, pkg, sc, windows := benchRig(b)
-	ev := New(db, pkg, sc, DefaultOptions())
+	ev := newReference(db, pkg, sc, DefaultOptions())
 	for _, w := range windows {
 		ev.referenceWindow(w) // warm the cost database
 	}

@@ -11,13 +11,13 @@ import (
 	"example.com/scar/internal/workload"
 )
 
-// This file is the compiled evaluation session: the zero-allocation,
-// lock-free hot path behind Evaluator. SCAR's offline MAESTRO database
-// (Section IV-A) is finite and enumerable up front — a layer's cost
-// depends only on (shape, dataflow class, mini-batch) — so instead of
-// consulting a guarded hash map per layer per evaluation, Compile
-// enumerates the whole table once per (scenario, MCM) pair into dense
-// arrays and derives prefix sums over the layer index. Any segment's
+// This file is the compiled evaluation session, the package's only
+// evaluation arithmetic: zero-allocation and lock-free. SCAR's offline
+// MAESTRO database (Section IV-A) is finite and enumerable up front — a
+// layer's cost depends only on (shape, dataflow class, mini-batch) — so
+// instead of consulting a guarded hash map per layer per evaluation,
+// Compile enumerates the whole table once per (scenario, MCM) pair into
+// dense arrays and derives prefix sums over the layer index. Any segment's
 // aggregate compute-seconds, energy, weight bytes and spill bytes then
 // cost O(1) prefix differences instead of O(layers) map lookups, and a
 // per-worker Scratch supplies every buffer an evaluation needs, so the
@@ -207,6 +207,12 @@ func Compile(db *costdb.DB, m *mcm.MCM, sc *workload.Scenario, opts Options) *Co
 		c.models[mi] = cm
 	}
 	return c
+}
+
+// New is Compile under its original constructor name, kept as a plain
+// forward for callers written against it.
+func New(db *costdb.DB, m *mcm.MCM, sc *workload.Scenario, opts Options) *Compiled {
+	return Compile(db, m, sc, opts)
 }
 
 // MCM returns the session's package model.
@@ -609,13 +615,6 @@ func (c *Compiled) Evaluate(s *Scratch, sched *Schedule) (Metrics, error) {
 		return Metrics{}, err
 	}
 	return c.EvaluateUnchecked(s, sched), nil
-}
-
-// ContentionFactors derives the window's delta factors from its
-// concurrent flows.
-func (c *Compiled) ContentionFactors(s *Scratch, w TimeWindow) (nop, off float64) {
-	c.bucket(s, w.Segments)
-	return c.Factors(c.flows(s))
 }
 
 // WindowTimings returns the evaluated stage timings of every model in the

@@ -19,6 +19,15 @@ import (
 // accumulation), so they agree to float regrouping error, not bit-exactly.
 const relTol = 1e-9
 
+// contentionFactors derives the window's delta factors from its
+// concurrent flows: every stage-to-stage hop is a NoP flow; every stage's
+// weight load plus every model's boundary input/output is an off-chip
+// stream.
+func contentionFactors(c *Compiled, s *Scratch, w TimeWindow) (nop, off float64) {
+	c.bucket(s, w.Segments)
+	return c.Factors(c.flows(s))
+}
+
 func relClose(a, b float64) bool {
 	if a == b {
 		return true
@@ -125,8 +134,8 @@ func TestCompiledMatchesReference(t *testing.T) {
 		sc := randScenario(rng)
 		pkg := packages[int(seed)%len(packages)]
 		db := costdb.New(maestro.DefaultParams())
-		ev := New(db, pkg, &sc, DefaultOptions())
-		c := ev.Compile()
+		ref := newReference(db, pkg, &sc, DefaultOptions())
+		c := Compile(db, pkg, &sc, DefaultOptions())
 		s := c.NewScratch()
 
 		for wi := 0; wi < 8; wi++ {
@@ -134,7 +143,7 @@ func TestCompiledMatchesReference(t *testing.T) {
 			if len(w.Segments) == 0 {
 				continue
 			}
-			want := ev.referenceWindow(w)
+			want := ref.referenceWindow(w)
 			got := c.Window(s, w)
 			if got.NumLayers != want.NumLayers {
 				t.Fatalf("seed %d window %d: NumLayers %d != %d", seed, wi, got.NumLayers, want.NumLayers)
@@ -153,8 +162,8 @@ func TestCompiledMatchesReference(t *testing.T) {
 			}
 
 			// Contention factors derive from integer flow counts: exact.
-			gNop, gOff := c.ContentionFactors(s, w)
-			wNop, wOff := ev.referenceContentionFactors(w)
+			gNop, gOff := contentionFactors(c, s, w)
+			wNop, wOff := ref.referenceContentionFactors(w)
 			if gNop != wNop || gOff != wOff {
 				t.Fatalf("seed %d window %d: contention (%v,%v) != (%v,%v)", seed, wi, gNop, gOff, wNop, wOff)
 			}
@@ -163,7 +172,7 @@ func TestCompiledMatchesReference(t *testing.T) {
 			gotT := c.WindowTimings(s, w)
 			var wantT []StageTiming
 			for _, mi := range w.Models() {
-				timings, _, _ := ev.referenceModelTimings(w, mi, wNop, wOff)
+				timings, _, _ := ref.referenceModelTimings(w, mi, wNop, wOff)
 				wantT = append(wantT, timings...)
 			}
 			if len(gotT) != len(wantT) {
@@ -195,7 +204,7 @@ func TestCompiledMatchesReference(t *testing.T) {
 func TestCompiledScheduleMatchesReference(t *testing.T) {
 	for _, batch := range []int{1, 4, 16} {
 		db, pkg, sc := testRig(batch)
-		ev := New(db, pkg, sc, DefaultOptions())
+		c := Compile(db, pkg, sc, DefaultOptions())
 		sched := &Schedule{Windows: []TimeWindow{
 			{Index: 0, Segments: []Segment{
 				{Model: 0, First: 0, Last: 1, Chiplet: 0},
@@ -206,8 +215,8 @@ func TestCompiledScheduleMatchesReference(t *testing.T) {
 				{Model: 1, First: 1, Last: 2, Chiplet: 4},
 			}},
 		}}
-		want := ev.referenceEvaluateUnchecked(sched)
-		got := ev.EvaluateUnchecked(sched)
+		want := newReference(db, pkg, sc, DefaultOptions()).referenceEvaluateUnchecked(sched)
+		got := c.EvaluateUnchecked(c.NewScratch(), sched)
 		if !relClose(got.LatencySec, want.LatencySec) || !relClose(got.EnergyJ, want.EnergyJ) || !relClose(got.EDP, want.EDP) {
 			t.Fatalf("batch %d: metrics (%v, %v, %v) != reference (%v, %v, %v)",
 				batch, got.LatencySec, got.EnergyJ, got.EDP, want.LatencySec, want.EnergyJ, want.EDP)
@@ -221,16 +230,15 @@ func TestCompiledScheduleMatchesReference(t *testing.T) {
 }
 
 // TestScratchReuseBitIdentical: the same session must produce
-// bit-identical metrics through a reused Scratch, a fresh Scratch per
-// call, and the Evaluator's pooled path — any divergence means evaluation
-// state is leaking between windows.
+// bit-identical metrics through a reused Scratch and a fresh Scratch per
+// call — any divergence means evaluation state is leaking between
+// windows.
 func TestScratchReuseBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	sc := randScenario(rng)
 	pkg := mcm.HetSides(3, 3, maestro.DefaultDatacenterChiplet())
 	db := costdb.New(maestro.DefaultParams())
-	ev := New(db, pkg, &sc, DefaultOptions())
-	c := ev.Compile()
+	c := Compile(db, pkg, &sc, DefaultOptions())
 
 	var windows []TimeWindow
 	for len(windows) < 20 {
@@ -243,12 +251,8 @@ func TestScratchReuseBitIdentical(t *testing.T) {
 	for i, w := range windows {
 		viaReused := c.Window(reused, w)
 		viaFresh := c.Window(c.NewScratch(), w)
-		viaEvaluator := ev.Window(w)
 		if !reflect.DeepEqual(viaReused, viaFresh) {
 			t.Fatalf("window %d: reused scratch diverged from fresh scratch:\n%+v\n%+v", i, viaReused, viaFresh)
-		}
-		if !reflect.DeepEqual(viaReused, viaEvaluator) {
-			t.Fatalf("window %d: compiled path diverged from Evaluator path:\n%+v\n%+v", i, viaReused, viaEvaluator)
 		}
 	}
 
@@ -267,7 +271,9 @@ func TestScratchReuseBitIdentical(t *testing.T) {
 
 // TestCompiledConcurrentScratches hammers one session from many
 // goroutines, each with a private Scratch (run under -race), checking
-// every result against the serial baseline.
+// every result — windows, a whole schedule, stage timings and link loads
+// — against the serial baseline: the session must hold no hidden
+// mutable state.
 func TestCompiledConcurrentScratches(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sc := randScenario(rng)
@@ -281,11 +287,17 @@ func TestCompiledConcurrentScratches(t *testing.T) {
 			windows = append(windows, w)
 		}
 	}
+	sched := &Schedule{Windows: windows}
 	base := make([]WindowMetrics, len(windows))
+	baseTimings := make([][]StageTiming, len(windows))
+	baseLinks := make([]map[mcm.Link]int64, len(windows))
 	s := c.NewScratch()
 	for i, w := range windows {
 		base[i] = c.Window(s, w)
+		baseTimings[i] = c.WindowTimings(s, w)
+		baseLinks[i] = c.LinkLoads(w)
 	}
+	baseSched := c.EvaluateUnchecked(s, sched)
 
 	const goroutines = 8
 	const iters = 50
@@ -300,6 +312,18 @@ func TestCompiledConcurrentScratches(t *testing.T) {
 				wi := (g + it) % len(windows)
 				if got := c.Window(mine, windows[wi]); !reflect.DeepEqual(got, base[wi]) {
 					errs <- "concurrent compiled Window diverged from serial baseline"
+					return
+				}
+				if got := c.EvaluateUnchecked(mine, sched); !reflect.DeepEqual(got, baseSched) {
+					errs <- "concurrent EvaluateUnchecked diverged from serial baseline"
+					return
+				}
+				if got := c.WindowTimings(mine, windows[wi]); !reflect.DeepEqual(got, baseTimings[wi]) {
+					errs <- "concurrent WindowTimings diverged from serial baseline"
+					return
+				}
+				if got := c.LinkLoads(windows[wi]); !reflect.DeepEqual(got, baseLinks[wi]) {
+					errs <- "concurrent LinkLoads diverged from serial baseline"
 					return
 				}
 			}

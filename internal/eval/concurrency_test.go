@@ -11,9 +11,10 @@ import (
 	"example.com/scar/internal/workload"
 )
 
-// concurrencyFixture builds an evaluator plus a couple of windows that
-// exercise pipelining, NoP transfers and off-chip contention.
-func concurrencyFixture() (*Evaluator, []TimeWindow, *Schedule) {
+// concurrencyFixture builds a cold cost database, a package, a scenario
+// and a couple of windows that exercise pipelining, NoP transfers and
+// off-chip contention.
+func concurrencyFixture() (*costdb.DB, *mcm.MCM, *workload.Scenario, []TimeWindow) {
 	db := costdb.New(maestro.DefaultParams())
 	pkg := mcm.HetCB(3, 3, maestro.DefaultDatacenterChiplet())
 	a := workload.NewModel("conv", 4, []workload.Layer{
@@ -26,7 +27,6 @@ func concurrencyFixture() (*Evaluator, []TimeWindow, *Schedule) {
 		workload.GEMM("g1", 128, 768, 768),
 	})
 	sc := workload.NewScenario("concurrent", a, b)
-	ev := New(db, pkg, &sc, DefaultOptions())
 	windows := []TimeWindow{
 		{Index: 0, Segments: []Segment{
 			{Model: 0, First: 0, Last: 1, Chiplet: 0},
@@ -39,24 +39,29 @@ func concurrencyFixture() (*Evaluator, []TimeWindow, *Schedule) {
 			{Model: 1, First: 0, Last: 1, Chiplet: 3},
 		}},
 	}
+	return db, pkg, &sc, windows
+}
+
+// TestEvaluatorConcurrentUse hammers one compiled session over the
+// hand-built pipelined windows from many goroutines, each with a private
+// Scratch (run under -race), and checks every result matches the serial
+// baseline: the session must hold no hidden mutable state.
+func TestEvaluatorConcurrentUse(t *testing.T) {
+	db, pkg, sc, windows := concurrencyFixture()
+	c := Compile(db, pkg, sc, DefaultOptions())
 	sched := &Schedule{Windows: []TimeWindow{
 		{Index: 0, Segments: windows[0].Segments},
 	}}
-	return ev, windows, sched
-}
-
-// TestEvaluatorConcurrentUse hammers one Evaluator from many goroutines
-// (run under -race) and checks every result matches the serial baseline:
-// the evaluator must hold no hidden mutable state.
-func TestEvaluatorConcurrentUse(t *testing.T) {
-	ev, windows, sched := concurrencyFixture()
 
 	// Serial baselines, computed before the hammering starts.
+	s := c.NewScratch()
 	baseWin := make([]WindowMetrics, len(windows))
+	baseEval := make([]WindowEval, len(windows))
 	for i, w := range windows {
-		baseWin[i] = ev.Window(w)
+		baseWin[i] = c.Window(s, w)
+		baseEval[i] = c.WindowEval(s, w)
 	}
-	baseSched := ev.EvaluateUnchecked(sched)
+	baseSched := c.EvaluateUnchecked(s, sched)
 
 	const goroutines = 8
 	const iters = 25
@@ -66,23 +71,22 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			mine := c.NewScratch()
 			for it := 0; it < iters; it++ {
 				wi := (g + it) % len(windows)
-				got := ev.Window(windows[wi])
-				if !reflect.DeepEqual(got, baseWin[wi]) {
+				if got := c.Window(mine, windows[wi]); !reflect.DeepEqual(got, baseWin[wi]) {
 					errs <- "Window result diverged under concurrency"
 					return
 				}
-				if got := ev.EvaluateUnchecked(sched); !reflect.DeepEqual(got, baseSched) {
+				if got := c.WindowEval(mine, windows[wi]); got != baseEval[wi] {
+					errs <- "WindowEval result diverged under concurrency"
+					return
+				}
+				if got := c.EvaluateUnchecked(mine, sched); !reflect.DeepEqual(got, baseSched) {
 					errs <- "EvaluateUnchecked result diverged under concurrency"
 					return
 				}
-				nop, off := ev.ContentionFactors(windows[wi])
-				if nop < 0 || off < 0 {
-					errs <- "negative contention factors"
-					return
-				}
-				if timings := ev.WindowTimings(windows[wi]); len(timings) == 0 {
+				if timings := c.WindowTimings(mine, windows[wi]); len(timings) == 0 {
 					errs <- "empty window timings"
 					return
 				}
@@ -96,25 +100,30 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestEvaluatorConcurrentColdCache runs the first-ever evaluations (cost
-// database completely cold) concurrently, which is exactly the state the
-// parallel scheduler creates on its first window fan-out.
-func TestEvaluatorConcurrentColdCache(t *testing.T) {
-	ev, windows, _ := concurrencyFixture()
+// TestCompileConcurrentColdCache compiles one pair from many goroutines
+// at once on a completely cold cost database — the state concurrent
+// /simulate classes create — and checks every session evaluates every
+// window identically.
+func TestCompileConcurrentColdCache(t *testing.T) {
+	db, pkg, sc, windows := concurrencyFixture()
 	const goroutines = 8
-	results := make([]WindowMetrics, goroutines)
+	results := make([][]WindowMetrics, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g] = ev.Window(windows[0])
+			c := Compile(db, pkg, sc, DefaultOptions())
+			s := c.NewScratch()
+			for _, w := range windows {
+				results[g] = append(results[g], c.Window(s, w))
+			}
 		}(g)
 	}
 	wg.Wait()
 	for g := 1; g < goroutines; g++ {
 		if !reflect.DeepEqual(results[g], results[0]) {
-			t.Fatalf("cold-cache Window diverged between goroutines: %+v vs %+v", results[g], results[0])
+			t.Fatalf("cold-cache windows diverged between goroutines: %+v vs %+v", results[g], results[0])
 		}
 	}
 }

@@ -12,22 +12,23 @@ import (
 // the diagnostic behind the contention delta — the paper's "NoP traffic
 // conflicts" — and lets callers inspect where a schedule congests the
 // interposer.
-func (e *Evaluator) LinkLoads(w TimeWindow) map[mcm.Link]int64 {
+func (c *Compiled) LinkLoads(w TimeWindow) map[mcm.Link]int64 {
 	loads := map[mcm.Link]int64{}
 	for _, mi := range w.Models() {
-		model := e.sc.Models[mi]
-		stages := groupStages(w.ModelSegments(mi))
-		batch := model.Batch
-		bp := 1
-		if len(stages) == 1 {
-			continue // no inter-chiplet traffic
-		}
-		for si := 1; si < len(stages); si++ {
-			first := stages[si].segments[0].First
-			bytes := model.Layers[first].WithBatch(bp).InputBytes() * int64(batch)
-			for _, link := range e.m.RouteLinks(stages[si-1].chiplet, stages[si].chiplet) {
+		segs := w.ModelSegments(mi)
+		// The scenario's own batch, unclamped: a Batch-0 model moves no
+		// bytes.
+		batch := int64(c.sc.Models[mi].Batch)
+		from := segs[0].Chiplet
+		for _, s := range segs[1:] {
+			if s.Chiplet == from {
+				continue // same-chiplet segments fuse into one stage
+			}
+			bytes := c.models[mi].perSampleIn[s.First] * batch
+			for _, link := range c.m.RouteLinks(from, s.Chiplet) {
 				loads[link] += bytes
 			}
+			from = s.Chiplet
 		}
 	}
 	return loads
@@ -35,8 +36,8 @@ func (e *Evaluator) LinkLoads(w TimeWindow) map[mcm.Link]int64 {
 
 // MaxLinkLoad returns the hottest link and its byte count (zero value
 // when the window has no inter-chiplet traffic).
-func (e *Evaluator) MaxLinkLoad(w TimeWindow) (mcm.Link, int64) {
-	loads := e.LinkLoads(w)
+func (c *Compiled) MaxLinkLoad(w TimeWindow) (mcm.Link, int64) {
+	loads := c.LinkLoads(w)
 	links := make([]mcm.Link, 0, len(loads))
 	for link := range loads {
 		links = append(links, link)

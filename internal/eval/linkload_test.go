@@ -1,36 +1,98 @@
 package eval
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"example.com/scar/internal/costdb"
+	"example.com/scar/internal/dataflow"
+	"example.com/scar/internal/maestro"
 	"example.com/scar/internal/mcm"
+	"example.com/scar/internal/workload"
 )
+
+// TestLinkLoadsMatchReference: over random windows — segments listed out
+// of first-layer order, repeated chiplets fusing into one stage — on 3x3
+// and 6x6 meshes and Het-Sides packages, the compiled LinkLoads equals
+// the legacy stage-grouping one exactly, including for a hand-built
+// Batch-0 model, which moves no bytes.
+func TestLinkLoadsMatchReference(t *testing.T) {
+	spec := maestro.DefaultDatacenterChiplet()
+	packages := []*mcm.MCM{
+		mcm.Simba(3, 3, dataflow.NVDLA(), spec),
+		mcm.Simba(6, 6, dataflow.NVDLA(), spec),
+		mcm.HetSides(3, 3, spec),
+		mcm.HetSides(6, 6, spec),
+	}
+	db := costdb.New(maestro.DefaultParams())
+	// The windows that loaded a link, and the links that carried a zero
+	// charge (the Batch-0 model's): both must occur, or the comparison
+	// proves nothing.
+	loaded, zeroCharged := 0, 0
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sc := randScenario(rng)
+		if seed%2 == 1 {
+			zero := workload.Model{Name: "raw", Batch: 0, Layers: []workload.Layer{
+				workload.GEMM("z0", 8, 16, 16),
+				workload.GEMM("z1", 8, 16, 32),
+				workload.GEMM("z2", 8, 32, 16),
+			}}
+			sc = workload.NewScenario(sc.Name, append(sc.Models, zero)...)
+		}
+		pkg := packages[int(seed)%len(packages)]
+		c := Compile(db, pkg, &sc, DefaultOptions())
+		ref := newReference(db, pkg, &sc, DefaultOptions())
+		for wi := 0; wi < 64; wi++ {
+			w := randWindow(rng, &sc, pkg.NumChiplets())
+			if len(w.Segments) == 0 {
+				continue
+			}
+			got, want := c.LinkLoads(w), ref.referenceLinkLoads(w)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d (%s) window %d %v:\ngot  %v\nwant %v", seed, pkg.Name, wi, w.Segments, got, want)
+			}
+			if len(got) > 0 {
+				loaded++
+			}
+			for _, bytes := range got {
+				if bytes == 0 {
+					zeroCharged++
+				}
+			}
+		}
+	}
+	if loaded == 0 || zeroCharged == 0 {
+		t.Fatalf("vacuous comparison: %d windows loaded a link, %d zero-byte links", loaded, zeroCharged)
+	}
+}
 
 func TestLinkLoadsEmptyForSingleChiplet(t *testing.T) {
 	db, pkg, sc := testRig(1)
-	e := New(db, pkg, sc, DefaultOptions())
+	c := Compile(db, pkg, sc, DefaultOptions())
 	w := TimeWindow{Segments: []Segment{
 		{Model: 0, First: 0, Last: 3, Chiplet: 0},
 		{Model: 1, First: 0, Last: 2, Chiplet: 4},
 	}}
-	if loads := e.LinkLoads(w); len(loads) != 0 {
+	if loads := c.LinkLoads(w); len(loads) != 0 {
 		t.Errorf("single-chiplet models produced link loads: %v", loads)
 	}
-	if _, max := e.MaxLinkLoad(w); max != 0 {
+	if _, max := c.MaxLinkLoad(w); max != 0 {
 		t.Errorf("MaxLinkLoad = %d, want 0", max)
 	}
 }
 
 func TestLinkLoadsFollowRoute(t *testing.T) {
 	db, pkg, sc := testRig(2)
-	e := New(db, pkg, sc, DefaultOptions())
+	c := Compile(db, pkg, sc, DefaultOptions())
 	// Model 0 pipelines chiplet 0 -> 2: XY route passes through 1.
 	w := TimeWindow{Segments: []Segment{
 		{Model: 0, First: 0, Last: 1, Chiplet: 0},
 		{Model: 0, First: 2, Last: 3, Chiplet: 2},
 		{Model: 1, First: 0, Last: 2, Chiplet: 6},
 	}}
-	loads := e.LinkLoads(w)
+	loads := c.LinkLoads(w)
 	if len(loads) != 2 {
 		t.Fatalf("loads = %v, want 2 links (0->1, 1->2)", loads)
 	}
@@ -45,7 +107,7 @@ func TestLinkLoadsFollowRoute(t *testing.T) {
 	if l01 != want {
 		t.Errorf("link bytes = %d, want %d", l01, want)
 	}
-	link, max := e.MaxLinkLoad(w)
+	link, max := c.MaxLinkLoad(w)
 	if max != l01 {
 		t.Errorf("MaxLinkLoad = %d, want %d", max, l01)
 	}
@@ -56,7 +118,7 @@ func TestLinkLoadsFollowRoute(t *testing.T) {
 
 func TestMaxLinkLoadTieBreakDeterministic(t *testing.T) {
 	db, pkg, sc := testRig(2)
-	e := New(db, pkg, sc, DefaultOptions())
+	c := Compile(db, pkg, sc, DefaultOptions())
 	// Model 0's 0->2 route loads links 0->1 and 1->2 with identical byte
 	// counts: a tie whose winner must not depend on map iteration order.
 	// The contract is the smallest (From, To) among the maxima.
@@ -66,7 +128,7 @@ func TestMaxLinkLoadTieBreakDeterministic(t *testing.T) {
 	}}
 	want := mcm.Link{From: 0, To: 1}
 	for i := 0; i < 200; i++ {
-		link, max := e.MaxLinkLoad(w)
+		link, max := c.MaxLinkLoad(w)
 		if max == 0 {
 			t.Fatal("tied window reported no traffic")
 		}
@@ -78,7 +140,7 @@ func TestMaxLinkLoadTieBreakDeterministic(t *testing.T) {
 
 func TestLinkLoadsSharedLinkAccumulates(t *testing.T) {
 	db, pkg, sc := testRig(1)
-	e := New(db, pkg, sc, DefaultOptions())
+	c := Compile(db, pkg, sc, DefaultOptions())
 	// Both models cross link 1->2 (model 0 via 0->2 XY, model 1 via
 	// 1->2).
 	w := TimeWindow{Segments: []Segment{
@@ -90,7 +152,7 @@ func TestLinkLoadsSharedLinkAccumulates(t *testing.T) {
 	_ = w
 	// Chiplet 2 cannot host two segments in a real SCAR window, but the
 	// evaluator's diagnostic must still accumulate shared-link traffic.
-	loads := e.LinkLoads(w)
+	loads := c.LinkLoads(w)
 	shared := loads[mcm.Link{From: 1, To: 2}]
 	only0 := loads[mcm.Link{From: 0, To: 1}]
 	if shared <= only0 {

@@ -1,13 +1,6 @@
 package eval
 
-import (
-	"math"
-	"sync"
-
-	"example.com/scar/internal/costdb"
-	"example.com/scar/internal/mcm"
-	"example.com/scar/internal/workload"
-)
+import "math"
 
 // Options tunes the evaluator's contention model (the delta term of
 // Lat_com in Section III-E).
@@ -62,92 +55,6 @@ type Metrics struct {
 	ModelLatency map[int]float64
 }
 
-// Evaluator scores schedules for one (scenario, MCM) pair.
-//
-// Evaluation runs on a compiled session (see Compile): the first
-// evaluation method called compiles the session's dense cost tables, and
-// every method after that is lock-free against the cost database. An
-// Evaluator is safe for concurrent use — the session is immutable once
-// built and per-call Scratch state comes from an internal pool. Callers
-// that manage their own worker Scratches (the parallel search in
-// internal/core) obtain the session with Compile and call it directly.
-type Evaluator struct {
-	db   *costdb.DB
-	m    *mcm.MCM
-	sc   *workload.Scenario
-	opts Options
-
-	once     sync.Once
-	compiled *Compiled
-	scratch  sync.Pool
-}
-
-// New builds an evaluator. Construction is cheap: the compiled session is
-// built lazily on first use.
-func New(db *costdb.DB, m *mcm.MCM, sc *workload.Scenario, opts Options) *Evaluator {
-	e := &Evaluator{db: db, m: m, sc: sc, opts: opts}
-	e.scratch.New = func() any { return e.Compile().NewScratch() }
-	return e
-}
-
-// Compile returns the evaluator's compiled session, building it on first
-// call.
-func (e *Evaluator) Compile() *Compiled {
-	e.once.Do(func() { e.compiled = Compile(e.db, e.m, e.sc, e.opts) })
-	return e.compiled
-}
-
-// getScratch borrows pooled scratch state for one evaluation call.
-func (e *Evaluator) getScratch() *Scratch { return e.scratch.Get().(*Scratch) }
-
-// MCM returns the evaluator's package model.
-func (e *Evaluator) MCM() *mcm.MCM { return e.m }
-
-// Scenario returns the evaluator's workload.
-func (e *Evaluator) Scenario() *workload.Scenario { return e.sc }
-
-// DB returns the evaluator's layer-cost database.
-func (e *Evaluator) DB() *costdb.DB { return e.db }
-
-// Evaluate validates the schedule and returns its metrics.
-func (e *Evaluator) Evaluate(s *Schedule) (Metrics, error) {
-	if err := s.Validate(e.sc, e.m); err != nil {
-		return Metrics{}, err
-	}
-	return e.EvaluateUnchecked(s), nil
-}
-
-// EvaluateUnchecked scores a schedule without validity checking; the
-// search inner loops use it on schedules that are valid by construction.
-func (e *Evaluator) EvaluateUnchecked(s *Schedule) Metrics {
-	c := e.Compile()
-	sc := e.getScratch()
-	m := c.EvaluateUnchecked(sc, s)
-	e.scratch.Put(sc)
-	return m
-}
-
-// stage is a maximal run of consecutive same-chiplet segments of one
-// model inside a window: the unit of inter-chiplet pipelining. Segments
-// that share a chiplet cannot overlap in time, so they fuse into one
-// pipeline stage.
-type stage struct {
-	chiplet  int
-	segments []Segment
-}
-
-func groupStages(segs []Segment) []stage {
-	var out []stage
-	for _, s := range segs {
-		if n := len(out); n > 0 && out[n-1].chiplet == s.Chiplet {
-			out[n-1].segments = append(out[n-1].segments, s)
-			continue
-		}
-		out = append(out, stage{chiplet: s.Chiplet, segments: []Segment{s}})
-	}
-	return out
-}
-
 // StageTiming is the evaluated timing of one pipeline stage within a
 // window. Times are seconds relative to the window start. BusyEnd
 // approximates the completion of the stage's final pass (exact for the
@@ -171,49 +78,6 @@ type StageTiming struct {
 	BusyEnd float64
 	// EnergyPJ is the stage's total energy including weight load.
 	EnergyPJ float64
-}
-
-// Window evaluates one time window: per-model inter-chiplet pipeline
-// latency with mini-batches (Section III-E, Lat(SG_m)), window latency as
-// the maximum across models and across per-chiplet busy time, and energy
-// as the sum of all compute and communication energies.
-func (e *Evaluator) Window(w TimeWindow) WindowMetrics {
-	c := e.Compile()
-	s := e.getScratch()
-	wm := c.Window(s, w)
-	e.scratch.Put(s)
-	return wm
-}
-
-// WindowTimings returns the evaluated stage timings of every model in the
-// window (the data behind schedule traces and Gantt rendering), in model
-// then pipeline order.
-func (e *Evaluator) WindowTimings(w TimeWindow) []StageTiming {
-	c := e.Compile()
-	s := e.getScratch()
-	out := c.WindowTimings(s, w)
-	e.scratch.Put(s)
-	return out
-}
-
-// ContentionFactors derives the window's delta factors from its
-// concurrent flows: every stage-to-stage hop is a NoP flow; every stage's
-// weight load plus every model's boundary input/output is an off-chip
-// stream.
-func (e *Evaluator) ContentionFactors(w TimeWindow) (nop, off float64) {
-	c := e.Compile()
-	s := e.getScratch()
-	nop, off = c.ContentionFactors(s, w)
-	e.scratch.Put(s)
-	return nop, off
-}
-
-func countLayers(segs []Segment) int {
-	n := 0
-	for _, s := range segs {
-		n += s.NumLayers()
-	}
-	return n
 }
 
 // Score reduces metrics to a single objective value; see OptMetric.

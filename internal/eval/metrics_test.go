@@ -37,12 +37,12 @@ func singleWindow(segs ...Segment) *Schedule {
 
 func TestEvaluateValidSchedule(t *testing.T) {
 	db, pkg, sc := testRig(1)
-	e := New(db, pkg, sc, DefaultOptions())
+	c := Compile(db, pkg, sc, DefaultOptions())
 	s := singleWindow(
 		Segment{Model: 0, First: 0, Last: 3, Chiplet: 0},
 		Segment{Model: 1, First: 0, Last: 2, Chiplet: 1},
 	)
-	m, err := e.Evaluate(s)
+	m, err := c.Evaluate(c.NewScratch(), s)
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
@@ -62,32 +62,32 @@ func TestEvaluateValidSchedule(t *testing.T) {
 
 func TestValidateRejectsMissingLayer(t *testing.T) {
 	db, pkg, sc := testRig(1)
-	e := New(db, pkg, sc, DefaultOptions())
+	c := Compile(db, pkg, sc, DefaultOptions())
 	s := singleWindow(
 		Segment{Model: 0, First: 0, Last: 2, Chiplet: 0}, // a3 missing
 		Segment{Model: 1, First: 0, Last: 2, Chiplet: 1},
 	)
-	if _, err := e.Evaluate(s); err == nil {
+	if _, err := c.Evaluate(c.NewScratch(), s); err == nil {
 		t.Error("schedule with missing layer accepted")
 	}
 }
 
 func TestValidateRejectsDuplicateLayer(t *testing.T) {
 	db, pkg, sc := testRig(1)
-	e := New(db, pkg, sc, DefaultOptions())
+	c := Compile(db, pkg, sc, DefaultOptions())
 	s := singleWindow(
 		Segment{Model: 0, First: 0, Last: 3, Chiplet: 0},
 		Segment{Model: 0, First: 3, Last: 3, Chiplet: 2},
 		Segment{Model: 1, First: 0, Last: 2, Chiplet: 1},
 	)
-	if _, err := e.Evaluate(s); err == nil {
+	if _, err := c.Evaluate(c.NewScratch(), s); err == nil {
 		t.Error("schedule with duplicated layer accepted")
 	}
 }
 
 func TestValidateRejectsOutOfOrderWindows(t *testing.T) {
 	db, pkg, sc := testRig(1)
-	e := New(db, pkg, sc, DefaultOptions())
+	c := Compile(db, pkg, sc, DefaultOptions())
 	s := &Schedule{Windows: []TimeWindow{
 		{Index: 0, Segments: []Segment{
 			{Model: 0, First: 2, Last: 3, Chiplet: 0},
@@ -97,26 +97,26 @@ func TestValidateRejectsOutOfOrderWindows(t *testing.T) {
 			{Model: 0, First: 0, Last: 1, Chiplet: 0},
 		}},
 	}}
-	if _, err := e.Evaluate(s); err == nil {
+	if _, err := c.Evaluate(c.NewScratch(), s); err == nil {
 		t.Error("dependency-violating window order accepted")
 	}
 }
 
 func TestValidateRejectsBadChiplet(t *testing.T) {
 	db, pkg, sc := testRig(1)
-	e := New(db, pkg, sc, DefaultOptions())
+	c := Compile(db, pkg, sc, DefaultOptions())
 	s := singleWindow(
 		Segment{Model: 0, First: 0, Last: 3, Chiplet: 99},
 		Segment{Model: 1, First: 0, Last: 2, Chiplet: 1},
 	)
-	if _, err := e.Evaluate(s); err == nil {
+	if _, err := c.Evaluate(c.NewScratch(), s); err == nil {
 		t.Error("out-of-range chiplet accepted")
 	}
 }
 
 func TestPipeliningBeatsSingleChipletAtHighBatch(t *testing.T) {
 	db, pkg, sc := testRig(16)
-	e := New(db, pkg, sc, DefaultOptions())
+	c := Compile(db, pkg, sc, DefaultOptions())
 	mono := singleWindow(
 		Segment{Model: 0, First: 0, Last: 3, Chiplet: 0},
 		Segment{Model: 1, First: 0, Last: 2, Chiplet: 4},
@@ -127,11 +127,11 @@ func TestPipeliningBeatsSingleChipletAtHighBatch(t *testing.T) {
 		Segment{Model: 1, First: 0, Last: 1, Chiplet: 4},
 		Segment{Model: 1, First: 2, Last: 2, Chiplet: 5},
 	)
-	mm, err := e.Evaluate(mono)
+	mm, err := c.Evaluate(c.NewScratch(), mono)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, err := e.Evaluate(piped)
+	pm, err := c.Evaluate(c.NewScratch(), piped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +142,12 @@ func TestPipeliningBeatsSingleChipletAtHighBatch(t *testing.T) {
 
 func TestWindowLatencyIsMaxOverModels(t *testing.T) {
 	db, pkg, sc := testRig(1)
-	e := New(db, pkg, sc, DefaultOptions())
+	c := Compile(db, pkg, sc, DefaultOptions())
 	s := singleWindow(
 		Segment{Model: 0, First: 0, Last: 3, Chiplet: 0},
 		Segment{Model: 1, First: 0, Last: 2, Chiplet: 4},
 	)
-	m, _ := e.Evaluate(s)
+	m, _ := c.Evaluate(c.NewScratch(), s)
 	w := m.Windows[0]
 	latA, latB := w.ModelLatency[0], w.ModelLatency[1]
 	want := math.Max(latA, latB)
@@ -161,12 +161,12 @@ func TestWindowLatencyIsMaxOverModels(t *testing.T) {
 
 func TestSharedChipletSerializes(t *testing.T) {
 	db, pkg, sc := testRig(1)
-	e := New(db, pkg, sc, DefaultOptions())
+	c := Compile(db, pkg, sc, DefaultOptions())
 	shared := singleWindow(
 		Segment{Model: 0, First: 0, Last: 3, Chiplet: 0, Order: 0},
 		Segment{Model: 1, First: 0, Last: 2, Chiplet: 0, Order: 1},
 	)
-	m, err := e.Evaluate(shared)
+	m, err := c.Evaluate(c.NewScratch(), shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestSharedChipletSerializes(t *testing.T) {
 
 func TestMultiWindowSumsLatency(t *testing.T) {
 	db, pkg, sc := testRig(1)
-	e := New(db, pkg, sc, DefaultOptions())
+	c := Compile(db, pkg, sc, DefaultOptions())
 	s := &Schedule{Windows: []TimeWindow{
 		{Index: 0, Segments: []Segment{
 			{Model: 0, First: 0, Last: 1, Chiplet: 0},
@@ -190,7 +190,7 @@ func TestMultiWindowSumsLatency(t *testing.T) {
 			{Model: 1, First: 1, Last: 2, Chiplet: 1},
 		}},
 	}}
-	m, err := e.Evaluate(s)
+	m, err := c.Evaluate(c.NewScratch(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,15 +213,15 @@ func TestHeterogeneousPlacementMatters(t *testing.T) {
 		workload.GEMM("g1", 128, 5120, 1280),
 	})
 	sc := workload.NewScenario("het", gemms)
-	e := New(db, pkg, &sc, DefaultOptions())
+	c := Compile(db, pkg, &sc, DefaultOptions())
 	// Chiplet 0 is NVDLA; chiplet 3 is ShiDianNao.
 	onNVD := singleWindow(Segment{Model: 0, First: 0, Last: 1, Chiplet: 0})
 	onShi := singleWindow(Segment{Model: 0, First: 0, Last: 1, Chiplet: 3})
-	mn, err := e.Evaluate(onNVD)
+	mn, err := c.Evaluate(c.NewScratch(), onNVD)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := e.Evaluate(onShi)
+	ms, err := c.Evaluate(c.NewScratch(), onShi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestHeterogeneousPlacementMatters(t *testing.T) {
 
 func TestContentionFactorsGrowWithFlows(t *testing.T) {
 	db, pkg, sc := testRig(4)
-	e := New(db, pkg, sc, DefaultOptions())
+	c := Compile(db, pkg, sc, DefaultOptions())
 	few := TimeWindow{Segments: []Segment{
 		{Model: 0, First: 0, Last: 3, Chiplet: 0},
 	}}
@@ -244,8 +244,8 @@ func TestContentionFactorsGrowWithFlows(t *testing.T) {
 		{Model: 1, First: 0, Last: 0, Chiplet: 3},
 		{Model: 1, First: 1, Last: 2, Chiplet: 4},
 	}}
-	nopFew, offFew := e.ContentionFactors(few)
-	nopMany, offMany := e.ContentionFactors(many)
+	nopFew, offFew := contentionFactors(c, c.NewScratch(), few)
+	nopMany, offMany := contentionFactors(c, c.NewScratch(), many)
 	if nopMany <= nopFew {
 		t.Errorf("NoP contention %v not > %v with more cross flows", nopMany, nopFew)
 	}
@@ -291,7 +291,7 @@ func TestSegmentHelpers(t *testing.T) {
 
 func TestModelLatencyAccumulatesAcrossWindows(t *testing.T) {
 	db, pkg, sc := testRig(1)
-	e := New(db, pkg, sc, DefaultOptions())
+	c := Compile(db, pkg, sc, DefaultOptions())
 	s := &Schedule{Windows: []TimeWindow{
 		{Index: 0, Segments: []Segment{
 			{Model: 0, First: 0, Last: 3, Chiplet: 0},
@@ -301,7 +301,7 @@ func TestModelLatencyAccumulatesAcrossWindows(t *testing.T) {
 			{Model: 1, First: 1, Last: 2, Chiplet: 1},
 		}},
 	}}
-	m, err := e.Evaluate(s)
+	m, err := c.Evaluate(c.NewScratch(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

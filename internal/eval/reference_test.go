@@ -4,6 +4,8 @@ import (
 	"math"
 
 	"example.com/scar/internal/comm"
+	"example.com/scar/internal/costdb"
+	"example.com/scar/internal/mcm"
 	"example.com/scar/internal/workload"
 )
 
@@ -20,8 +22,50 @@ import (
 // agree to floating-point regrouping error (~1 ulp per term) rather than
 // bit-exactly; the equivalence tests bound the relative difference.
 
+// reference is the legacy evaluator's state: the raw cost database and
+// the pair it scores, with no compiled tables.
+type reference struct {
+	db   *costdb.DB
+	m    *mcm.MCM
+	sc   *workload.Scenario
+	opts Options
+}
+
+func newReference(db *costdb.DB, m *mcm.MCM, sc *workload.Scenario, opts Options) *reference {
+	return &reference{db: db, m: m, sc: sc, opts: opts}
+}
+
+// stage is a maximal run of consecutive same-chiplet segments of one
+// model inside a window: the unit of inter-chiplet pipelining. Segments
+// that share a chiplet cannot overlap in time, so they fuse into one
+// pipeline stage.
+type stage struct {
+	chiplet  int
+	segments []Segment
+}
+
+func groupStages(segs []Segment) []stage {
+	var out []stage
+	for _, s := range segs {
+		if n := len(out); n > 0 && out[n-1].chiplet == s.Chiplet {
+			out[n-1].segments = append(out[n-1].segments, s)
+			continue
+		}
+		out = append(out, stage{chiplet: s.Chiplet, segments: []Segment{s}})
+	}
+	return out
+}
+
+func countLayers(segs []Segment) int {
+	n := 0
+	for _, s := range segs {
+		n += s.NumLayers()
+	}
+	return n
+}
+
 // referenceWindow is the legacy Evaluator.Window.
-func (e *Evaluator) referenceWindow(w TimeWindow) WindowMetrics {
+func (e *reference) referenceWindow(w TimeWindow) WindowMetrics {
 	wm := WindowMetrics{ModelLatency: map[int]float64{}}
 	nopC, offC := e.referenceContentionFactors(w)
 
@@ -46,7 +90,7 @@ func (e *Evaluator) referenceWindow(w TimeWindow) WindowMetrics {
 }
 
 // referenceEvaluateUnchecked is the legacy Evaluator.EvaluateUnchecked.
-func (e *Evaluator) referenceEvaluateUnchecked(s *Schedule) Metrics {
+func (e *reference) referenceEvaluateUnchecked(s *Schedule) Metrics {
 	m := Metrics{ModelLatency: map[int]float64{}}
 	var elapsed float64
 	for _, w := range s.Windows {
@@ -64,7 +108,7 @@ func (e *Evaluator) referenceEvaluateUnchecked(s *Schedule) Metrics {
 }
 
 // referenceModelTimings is the legacy modelTimings.
-func (e *Evaluator) referenceModelTimings(w TimeWindow, mi int, nopC, offC float64) ([]StageTiming, float64, float64) {
+func (e *reference) referenceModelTimings(w TimeWindow, mi int, nopC, offC float64) ([]StageTiming, float64, float64) {
 	segs := w.ModelSegments(mi)
 	stages := groupStages(segs)
 	model := e.sc.Models[mi]
@@ -144,7 +188,7 @@ func (e *Evaluator) referenceModelTimings(w TimeWindow, mi int, nopC, offC float
 }
 
 // referenceResidentBatch is the legacy residentBatch.
-func (e *Evaluator) referenceResidentBatch(model workload.Model, segs []Segment, chiplet int) int {
+func (e *reference) referenceResidentBatch(model workload.Model, segs []Segment, chiplet int) int {
 	capacity := float64(e.m.Chiplets[chiplet].Spec.L2Bytes) * 0.9
 	bp := model.Batch
 	for _, seg := range segs {
@@ -174,7 +218,7 @@ func (e *Evaluator) referenceResidentBatch(model workload.Model, segs []Segment,
 }
 
 // referenceContentionFactors is the legacy ContentionFactors.
-func (e *Evaluator) referenceContentionFactors(w TimeWindow) (nop, off float64) {
+func (e *reference) referenceContentionFactors(w TimeWindow) (nop, off float64) {
 	crossFlows, offFlows := 0, 0
 	for _, mi := range w.Models() {
 		stages := groupStages(w.ModelSegments(mi))
@@ -193,4 +237,26 @@ func (e *Evaluator) referenceContentionFactors(w TimeWindow) (nop, off float64) 
 		off = e.opts.OffchipContentionAlpha * float64(offFlows-1)
 	}
 	return nop, off
+}
+
+// referenceLinkLoads is the legacy LinkLoads, over grouped stages.
+func (e *reference) referenceLinkLoads(w TimeWindow) map[mcm.Link]int64 {
+	loads := map[mcm.Link]int64{}
+	for _, mi := range w.Models() {
+		model := e.sc.Models[mi]
+		stages := groupStages(w.ModelSegments(mi))
+		batch := model.Batch
+		bp := 1
+		if len(stages) == 1 {
+			continue // no inter-chiplet traffic
+		}
+		for si := 1; si < len(stages); si++ {
+			first := stages[si].segments[0].First
+			bytes := model.Layers[first].WithBatch(bp).InputBytes() * int64(batch)
+			for _, link := range e.m.RouteLinks(stages[si-1].chiplet, stages[si].chiplet) {
+				loads[link] += bytes
+			}
+		}
+	}
+	return loads
 }

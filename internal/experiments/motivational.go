@@ -35,7 +35,8 @@ func (s *Suite) Motivational(ctx context.Context) (*MotivationalResult, error) {
 	resnetOnly := workload.NewScenario("resnet-slice", full.Models[0])
 
 	res := &MotivationalResult{EDP: map[string]float64{}, Ratio: map[string]float64{}}
-	ev := eval.New(s.DB, pkg, &resnetOnly, s.Opts.Eval)
+	comp := eval.Compile(s.DB, pkg, &resnetOnly, s.Opts.Eval)
+	scratch := comp.NewScratch()
 
 	// A1: ResNet block on the ShiDianNao chiplet (NN-baton w/ Shi).
 	// A2: ResNet block on an NVDLA chiplet (NN-baton w/ NVD).
@@ -47,7 +48,7 @@ func (s *Suite) Motivational(ctx context.Context) (*MotivationalResult, error) {
 		sched := &eval.Schedule{Windows: []eval.TimeWindow{{Segments: []eval.Segment{
 			{Model: 0, First: 0, Last: 2, Chiplet: c.chiplet},
 		}}}}
-		m, err := ev.Evaluate(sched)
+		m, err := comp.Evaluate(scratch, sched)
 		if err != nil {
 			return nil, err
 		}

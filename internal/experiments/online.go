@@ -143,8 +143,8 @@ func (s *Suite) scheduleOnlineMix(ctx context.Context) (*onlineMix, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: online: scenario %d: %w", spec.scenario, err)
 		}
-		ev := eval.New(s.DB, pkg, &sc, s.Opts.Eval)
-		cl, err := online.NewClass(fmt.Sprintf("sc%d", spec.scenario), ev, r.Schedule, nil, 3)
+		comp := eval.Compile(s.DB, pkg, &sc, s.Opts.Eval)
+		cl, err := online.NewClass(fmt.Sprintf("sc%d", spec.scenario), comp, r.Schedule, nil, 3)
 		if err != nil {
 			return nil, err
 		}

@@ -73,22 +73,22 @@ type Class struct {
 }
 
 // NewClass assembles a simulator class from a scheduled scenario: it
-// evaluates the schedule on the evaluator, derives per-model deadlines
-// (slackFactor covers models without frame rates), computes the
+// evaluates the schedule on the compiled session, derives per-model
+// deadlines (slackFactor covers models without frame rates), computes the
 // schedule-switch cost and builds the span template for trace emission.
-func NewClass(name string, ev *eval.Evaluator, sched *eval.Schedule, arr Arrivals, slackFactor float64) (Class, error) {
-	metrics, err := ev.Evaluate(sched)
+func NewClass(name string, c *eval.Compiled, sched *eval.Schedule, arr Arrivals, slackFactor float64) (Class, error) {
+	metrics, err := c.Evaluate(c.NewScratch(), sched)
 	if err != nil {
 		return Class{}, fmt.Errorf("online: class %s: %w", name, err)
 	}
 	return Class{
 		Name:        name,
-		Scenario:    ev.Scenario(),
+		Scenario:    c.Scenario(),
 		Schedule:    sched,
 		Metrics:     metrics,
-		SwitchInSec: SwitchCost(ev, sched),
-		Deadlines:   DeriveDeadlines(ev.Scenario(), metrics, slackFactor),
-		Spans:       trace.Build(ev, ev.Scenario(), ev.MCM(), sched),
+		SwitchInSec: SwitchCost(c, sched),
+		Deadlines:   DeriveDeadlines(c.Scenario(), metrics, slackFactor),
+		Spans:       trace.Build(c, sched),
 		Arrivals:    arr,
 	}, nil
 }
@@ -121,12 +121,12 @@ func DeriveDeadlines(sc *workload.Scenario, metrics eval.Metrics, slackFactor fl
 // upstream pipeline fill, but when the scenario mix changes the pipeline
 // has drained and the incoming schedule's window-entry weight reload is
 // exposed on the critical path.
-func SwitchCost(ev *eval.Evaluator, sched *eval.Schedule) float64 {
+func SwitchCost(c *eval.Compiled, sched *eval.Schedule) float64 {
 	if len(sched.Windows) == 0 {
 		return 0
 	}
 	var worst float64
-	for _, st := range ev.WindowTimings(sched.Windows[0]) {
+	for _, st := range c.WindowTimings(c.NewScratch(), sched.Windows[0]) {
 		if st.WeightSec > worst {
 			worst = st.WeightSec
 		}

@@ -19,7 +19,7 @@ import (
 // rig builds a small scheduled scenario: two models on a Simba 3x3
 // package with a hand-made two-stage schedule, model 0 carrying an
 // XRBench-style frame rate.
-func rig(t *testing.T) (*eval.Evaluator, *eval.Schedule) {
+func rig(t *testing.T) (*eval.Compiled, *eval.Schedule) {
 	t.Helper()
 	db := costdb.New(maestro.DefaultParams())
 	pkg := mcm.Simba(3, 3, dataflow.NVDLA(), maestro.DefaultDatacenterChiplet())
@@ -31,7 +31,7 @@ func rig(t *testing.T) (*eval.Evaluator, *eval.Schedule) {
 		workload.GEMM("b0", 128, 768, 3072),
 	})
 	sc := workload.NewScenario("rig", a, b)
-	ev := eval.New(db, pkg, &sc, eval.DefaultOptions())
+	comp := eval.Compile(db, pkg, &sc, eval.DefaultOptions())
 	sched := &eval.Schedule{Windows: []eval.TimeWindow{
 		{Index: 0, Segments: []eval.Segment{
 			{Model: 0, First: 0, Last: 0, Chiplet: 0},
@@ -39,13 +39,13 @@ func rig(t *testing.T) (*eval.Evaluator, *eval.Schedule) {
 			{Model: 1, First: 0, Last: 0, Chiplet: 4},
 		}},
 	}}
-	return ev, sched
+	return comp, sched
 }
 
 func mustClass(t *testing.T, name string, arr Arrivals, slack float64) Class {
 	t.Helper()
-	ev, sched := rig(t)
-	c, err := NewClass(name, ev, sched, arr, slack)
+	comp, sched := rig(t)
+	c, err := NewClass(name, comp, sched, arr, slack)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -532,12 +532,6 @@ func (s *Service) fill(ctx context.Context, e *entry, req Request) (workload.Sce
 	return sc, pkg, nil
 }
 
-// Evaluator builds a schedule evaluator for a resolved request on the
-// service's shared cost database.
-func (s *Service) Evaluator(sr *ScheduleResult) *eval.Evaluator {
-	return eval.New(s.db, sr.MCM, sr.Scenario, s.opts.Eval)
-}
-
 // SimClass is one request class of a simulation: a scheduling request
 // plus its arrival process (Poisson rate or explicit trace).
 type SimClass struct {
@@ -757,7 +751,8 @@ func (s *Service) Simulate(ctx context.Context, req SimRequest) (*online.Report,
 		if name == "" {
 			name = srs[i].Key
 		}
-		cl, err := online.NewClass(name, s.Evaluator(srs[i]), srs[i].Result.Schedule, arrivals[i], slack)
+		comp := eval.Compile(s.db, srs[i].MCM, srs[i].Scenario, s.opts.Eval)
+		cl, err := online.NewClass(name, comp, srs[i].Result.Schedule, arrivals[i], slack)
 		if err != nil {
 			endSched()
 			return nil, fmt.Errorf("serve: class %d: %w", i, err)

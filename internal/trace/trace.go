@@ -14,8 +14,6 @@ import (
 	"strings"
 
 	"example.com/scar/internal/eval"
-	"example.com/scar/internal/mcm"
-	"example.com/scar/internal/workload"
 )
 
 // Span is one chiplet-occupancy interval.
@@ -43,14 +41,16 @@ type Timeline struct {
 	Chiplets int
 }
 
-// Build evaluates the schedule's windows and lays their stage timings
-// end-to-end on the schedule's absolute time axis.
-func Build(ev *eval.Evaluator, sc *workload.Scenario, m *mcm.MCM, sched *eval.Schedule) *Timeline {
-	tl := &Timeline{Chiplets: m.NumChiplets()}
+// Build evaluates the schedule's windows on the compiled session and lays
+// their stage timings end-to-end on the schedule's absolute time axis.
+func Build(c *eval.Compiled, sched *eval.Schedule) *Timeline {
+	sc := c.Scenario()
+	s := c.NewScratch()
+	tl := &Timeline{Chiplets: c.MCM().NumChiplets()}
 	var offset float64
 	for wi, w := range sched.Windows {
-		wm := ev.Window(w)
-		for _, st := range ev.WindowTimings(w) {
+		we := c.WindowEval(s, w)
+		for _, st := range c.WindowTimings(s, w) {
 			model := sc.Models[st.Model]
 			first := st.Segments[0]
 			last := st.Segments[len(st.Segments)-1]
@@ -66,7 +66,7 @@ func Build(ev *eval.Evaluator, sc *workload.Scenario, m *mcm.MCM, sched *eval.Sc
 				Passes:   st.Passes,
 			})
 		}
-		offset += wm.LatencySec
+		offset += we.LatencySec
 	}
 	tl.TotalSec = offset
 	sort.SliceStable(tl.Spans, func(i, j int) bool {

@@ -13,7 +13,7 @@ import (
 	"example.com/scar/internal/workload"
 )
 
-func rig() (*eval.Evaluator, *workload.Scenario, *mcm.MCM, *eval.Schedule) {
+func rig() (*eval.Compiled, *eval.Schedule) {
 	db := costdb.New(maestro.DefaultParams())
 	pkg := mcm.Simba(3, 3, dataflow.NVDLA(), maestro.DefaultDatacenterChiplet())
 	a := workload.NewModel("a", 4, []workload.Layer{
@@ -24,7 +24,7 @@ func rig() (*eval.Evaluator, *workload.Scenario, *mcm.MCM, *eval.Schedule) {
 		workload.GEMM("b0", 128, 768, 3072),
 	})
 	sc := workload.NewScenario("rig", a, b)
-	ev := eval.New(db, pkg, &sc, eval.DefaultOptions())
+	c := eval.Compile(db, pkg, &sc, eval.DefaultOptions())
 	sched := &eval.Schedule{Windows: []eval.TimeWindow{
 		{Index: 0, Segments: []eval.Segment{
 			{Model: 0, First: 0, Last: 0, Chiplet: 0},
@@ -32,12 +32,12 @@ func rig() (*eval.Evaluator, *workload.Scenario, *mcm.MCM, *eval.Schedule) {
 			{Model: 1, First: 0, Last: 0, Chiplet: 4},
 		}},
 	}}
-	return ev, &sc, pkg, sched
+	return c, sched
 }
 
 func TestBuildTimeline(t *testing.T) {
-	ev, sc, pkg, sched := rig()
-	tl := Build(ev, sc, pkg, sched)
+	c, sched := rig()
+	tl := Build(c, sched)
 	if len(tl.Spans) != 3 {
 		t.Fatalf("spans = %d, want 3 (two stages + one)", len(tl.Spans))
 	}
@@ -74,12 +74,12 @@ func TestBuildTimeline(t *testing.T) {
 }
 
 func TestTimelineMultiWindowOffsets(t *testing.T) {
-	ev, sc, pkg, _ := rig()
+	c, _ := rig()
 	sched := &eval.Schedule{Windows: []eval.TimeWindow{
 		{Index: 0, Segments: []eval.Segment{{Model: 0, First: 0, Last: 1, Chiplet: 0}}},
 		{Index: 1, Segments: []eval.Segment{{Model: 1, First: 0, Last: 0, Chiplet: 0}}},
 	}}
-	tl := Build(ev, sc, pkg, sched)
+	tl := Build(c, sched)
 	if len(tl.Spans) != 2 {
 		t.Fatalf("spans = %d", len(tl.Spans))
 	}
@@ -91,8 +91,8 @@ func TestTimelineMultiWindowOffsets(t *testing.T) {
 }
 
 func TestGanttRendering(t *testing.T) {
-	ev, sc, pkg, sched := rig()
-	tl := Build(ev, sc, pkg, sched)
+	c, sched := rig()
+	tl := Build(c, sched)
 	out := tl.Gantt(40)
 	if !strings.Contains(out, "c0 ") || !strings.Contains(out, "c8 ") {
 		t.Errorf("Gantt missing chiplet rows:\n%s", out)
@@ -111,8 +111,8 @@ func TestGanttRendering(t *testing.T) {
 }
 
 func TestChromeTraceExport(t *testing.T) {
-	ev, sc, pkg, sched := rig()
-	tl := Build(ev, sc, pkg, sched)
+	c, sched := rig()
+	tl := Build(c, sched)
 	data, err := tl.ChromeTrace()
 	if err != nil {
 		t.Fatal(err)
@@ -145,8 +145,8 @@ func TestEmptyTimeline(t *testing.T) {
 }
 
 func TestChromeTraceRoundTrip(t *testing.T) {
-	ev, sc, pkg, sched := rig()
-	tl := Build(ev, sc, pkg, sched)
+	c, sched := rig()
+	tl := Build(c, sched)
 	data, err := tl.ChromeTrace()
 	if err != nil {
 		t.Fatal(err)

@@ -86,9 +86,6 @@ type (
 	Metrics = eval.Metrics
 	// WindowMetrics is the per-window breakdown.
 	WindowMetrics = eval.WindowMetrics
-	// Evaluator scores schedules for one (scenario, MCM) pair on a
-	// compiled session (see Scheduler.Evaluator).
-	Evaluator = eval.Evaluator
 	// Options are the scheduler hyperparameters.
 	Options = core.Options
 	// Objective is an optimization metric (Definition 10).
@@ -207,17 +204,10 @@ var (
 	// Simulate runs the discrete-event serving simulator; results are
 	// bit-identical for a fixed configuration.
 	Simulate = online.Simulate
-	// NewSimClass assembles a simulator class from a scheduled
-	// scenario: evaluated metrics, per-model deadlines, switch cost and
-	// trace spans.
-	NewSimClass = online.NewClass
 	// DeriveDeadlines maps a scenario's models to deadlines: XRBench
 	// frame budgets where frame rates exist, slack-scaled scheduled
 	// latencies elsewhere.
 	DeriveDeadlines = online.DeriveDeadlines
-	// ScheduleSwitchCost is the reconfiguration price of switching the
-	// package to a new schedule (first-window weight reload).
-	ScheduleSwitchCost = online.SwitchCost
 	// NewTrace builds a validated trace-driven arrival process
 	// (non-ascending timestamps are rejected at construction).
 	NewTrace = online.NewTrace
@@ -414,23 +404,22 @@ func (s *Scheduler) ScheduleUniformPacking(ctx context.Context, req *Request) (*
 	return s.inner.ScheduleUniformPacking(ctx, req)
 }
 
-// Session is a compiled handle for one (scenario, MCM) pair: it builds
-// the evaluation session once and serves every per-pair operation —
+// Session is a compiled handle for one (scenario, MCM) pair: NewSession
+// builds the evaluation session once, and every per-pair operation —
 // searching, scoring external schedules, timelines, link loads, the
-// paper baselines and simulator-class assembly — on one compiled
-// evaluation state.
+// paper baselines and simulator-class assembly — runs on that one
+// compiled evaluation state.
 //
 // A Session is immutable after NewSession and safe for concurrent use.
 type Session struct {
 	sched *Scheduler
-	sc    *Scenario
-	m     *MCM
-	ev    *Evaluator
+	comp  *eval.Compiled
 }
 
 // NewSession validates the pair once and returns its compiled handle.
-// The heavy state (dense cost tables) is still built lazily on first
-// use, then shared by every method and Schedule call on the session.
+// It compiles the pair's dense cost tables eagerly, so NewSession pays
+// the compile cost and every method and Schedule call on the session
+// shares the result.
 func (s *Scheduler) NewSession(sc *Scenario, m *MCM) (*Session, error) {
 	if sc == nil || m == nil {
 		return nil, fmt.Errorf("scar: session needs a scenario and an MCM")
@@ -441,18 +430,14 @@ func (s *Scheduler) NewSession(sc *Scenario, m *MCM) (*Session, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return &Session{sched: s, sc: sc, m: m, ev: eval.New(s.db, m, sc, s.opts.Eval)}, nil
+	return &Session{sched: s, comp: eval.Compile(s.db, m, sc, s.opts.Eval)}, nil
 }
 
 // Scenario returns the session's workload.
-func (ses *Session) Scenario() *Scenario { return ses.sc }
+func (ses *Session) Scenario() *Scenario { return ses.comp.Scenario() }
 
 // MCM returns the session's package model.
-func (ses *Session) MCM() *MCM { return ses.m }
-
-// Evaluator exposes the session's shared evaluator — the input
-// NewSimClass needs to assemble simulator request classes.
-func (ses *Session) Evaluator() *Evaluator { return ses.ev }
+func (ses *Session) MCM() *MCM { return ses.comp.MCM() }
 
 // Schedule runs the SCAR search for the session's pair under obj, on the
 // session's compiled evaluation state. Context semantics match
@@ -470,55 +455,56 @@ func (ses *Session) ScheduleRequest(ctx context.Context, req *Request) (*Result,
 	}
 	r := *req
 	if r.Scenario == nil {
-		r.Scenario = ses.sc
-	} else if r.Scenario != ses.sc {
+		r.Scenario = ses.Scenario()
+	} else if r.Scenario != ses.Scenario() {
 		return nil, fmt.Errorf("scar: request scenario differs from the session's")
 	}
 	if r.MCM == nil {
-		r.MCM = ses.m
-	} else if r.MCM != ses.m {
+		r.MCM = ses.MCM()
+	} else if r.MCM != ses.MCM() {
 		return nil, fmt.Errorf("scar: request MCM differs from the session's")
 	}
-	r.Compiled = ses.ev.Compile()
+	r.Compiled = ses.comp
 	return ses.sched.inner.Schedule(ctx, &r)
 }
 
 // Evaluate scores an externally built schedule on the session.
 func (ses *Session) Evaluate(sched *Schedule) (Metrics, error) {
-	return ses.ev.Evaluate(sched)
+	return ses.comp.Evaluate(ses.comp.NewScratch(), sched)
 }
 
 // Timeline builds the execution trace of a schedule: per-chiplet spans
 // consistent with the evaluator's pipeline model. Render it with
 // Timeline.Gantt or export it with Timeline.ChromeTrace.
 func (ses *Session) Timeline(sched *Schedule) *Timeline {
-	return trace.Build(ses.ev, ses.sc, ses.m, sched)
+	return trace.Build(ses.comp, sched)
 }
 
 // LinkLoads maps one window's inter-chiplet traffic onto the NoP links
 // (bytes per directed link) — the diagnostic behind the contention model.
 func (ses *Session) LinkLoads(w TimeWindow) map[Link]int64 {
-	return ses.ev.LinkLoads(w)
+	return ses.comp.LinkLoads(w)
 }
 
 // Standalone runs the paper's Standalone baseline: one chiplet per model.
 func (ses *Session) Standalone() (*Schedule, Metrics, error) {
-	return baselines.StandaloneOn(ses.ev)
+	return baselines.StandaloneOn(ses.comp)
 }
 
 // NNBaton runs the NN-baton-style single-model baseline.
 func (ses *Session) NNBaton() (*Schedule, Metrics, error) {
-	return baselines.NNBatonOn(ses.ev)
+	return baselines.NNBatonOn(ses.comp)
 }
 
 // SimClass assembles a request class for the discrete-event simulator
-// from a schedule of this session's pair (see NewSimClass). Classes from
-// several sessions combine into one SimConfig — with Packages replicas
-// and a dispatch Policy (FIFOPolicy, EDFPolicy, SwitchAwarePolicy) —
-// and run through Simulate; examples/fleet shows a two-package AR/VR
-// deployment built this way.
+// from a schedule of this session's pair: evaluated metrics, per-model
+// deadlines, switch cost and trace spans. Classes from several sessions
+// combine into one SimConfig — with Packages replicas and a dispatch
+// Policy (FIFOPolicy, EDFPolicy, SwitchAwarePolicy) — and run through
+// Simulate; examples/fleet shows a two-package AR/VR deployment built
+// this way.
 func (ses *Session) SimClass(name string, sched *Schedule, arr Arrivals, slackFactor float64) (SimClass, error) {
-	return online.NewClass(name, ses.ev, sched, arr, slackFactor)
+	return online.NewClass(name, ses.comp, sched, arr, slackFactor)
 }
 
 // SaveCostDB writes the scheduler's warmed layer-cost database as a gob
