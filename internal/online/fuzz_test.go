@@ -1,8 +1,10 @@
 package online
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -45,6 +47,27 @@ func FuzzTraceArrivals(f *testing.F) {
 			if i > 0 && v < out[i-1] {
 				t.Fatalf("arrivals not ascending: %v after %v", v, out[i-1])
 			}
+		}
+	})
+}
+
+// FuzzSimulateMatchesReference decodes a small simulation configuration
+// from the fuzz bytes (queueConfigFromBytes) and requires Simulate to
+// reproduce the flat-queue reference engine bit-for-bit.
+func FuzzSimulateMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{4, 2, 200, 1, 3, 7, 255, 4, 3, 2, 1, 0, 8, 0, 1, 2, 3, 1, 1, 2, 0, 5, 2, 2, 1, 2})
+	f.Add([]byte{2, 0, 120, 1, 2, 0, 180, 2, 1, 4, 3, 1, 1, 0, 1, 0, 0, 1, 5, 1, 1, 1})
+	base := mustClass(f, "base", nil, 0)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg := queueConfigFromBytes(base, data)
+		want := referenceQueueSimulate(t, cfg)
+		got, err := Simulate(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("engine diverged from the flat-queue reference\ngot:  %+v\nwant: %+v", got, want)
 		}
 	})
 }

@@ -19,7 +19,7 @@ import (
 // rig builds a small scheduled scenario: two models on a Simba 3x3
 // package with a hand-made two-stage schedule, model 0 carrying an
 // XRBench-style frame rate.
-func rig(t *testing.T) (*eval.Compiled, *eval.Schedule) {
+func rig(t testing.TB) (*eval.Compiled, *eval.Schedule) {
 	t.Helper()
 	db := costdb.New(maestro.DefaultParams())
 	pkg := mcm.Simba(3, 3, dataflow.NVDLA(), maestro.DefaultDatacenterChiplet())
@@ -42,7 +42,7 @@ func rig(t *testing.T) (*eval.Compiled, *eval.Schedule) {
 	return comp, sched
 }
 
-func mustClass(t *testing.T, name string, arr Arrivals, slack float64) Class {
+func mustClass(t testing.TB, name string, arr Arrivals, slack float64) Class {
 	t.Helper()
 	comp, sched := rig(t)
 	c, err := NewClass(name, comp, sched, arr, slack)
