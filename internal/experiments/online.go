@@ -139,11 +139,13 @@ func (s *Suite) scheduleOnlineMix(ctx context.Context) (*onlineMix, error) {
 			return nil, err
 		}
 		pkg := mcm.HetSides(4, 4, pkgSpec)
-		r, err := fullResult(core.New(s.DB, s.Opts).Schedule(ctx, core.NewRequest(&sc, pkg, obj)))
+		comp := eval.Compile(s.DB, pkg, &sc, s.Opts.Eval)
+		req := core.NewRequest(&sc, pkg, obj)
+		req.Compiled = comp
+		r, err := fullResult(core.New(s.DB, s.Opts).Schedule(ctx, req))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: online: scenario %d: %w", spec.scenario, err)
 		}
-		comp := eval.Compile(s.DB, pkg, &sc, s.Opts.Eval)
 		cl, err := online.NewClass(fmt.Sprintf("sc%d", spec.scenario), comp, r.Schedule, nil, 3)
 		if err != nil {
 			return nil, err

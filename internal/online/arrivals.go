@@ -1,6 +1,7 @@
 package online
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,8 +17,26 @@ type Arrivals interface {
 	// Times returns the arrival times in seconds, ascending, bounded by
 	// the horizon (exclusive, when > 0) and by max entries (when > 0).
 	// At least one of the two bounds is guaranteed positive by the
-	// simulator's config validation.
-	Times(horizonSec float64, max int) []float64
+	// simulator's config validation. Generators whose length the caller
+	// controls poll ctx and return an error wrapping ctx.Err() once it
+	// is cancelled.
+	Times(ctx context.Context, horizonSec float64, max int) ([]float64, error)
+}
+
+// pollEvery is how many draws a generator makes between ctx polls:
+// cheap against a draw, prompt against any realistic stream.
+const pollEvery = 1024
+
+// cancelled reports ctx's error, wrapped, on every pollEvery-th draw
+// (the first included) and nil otherwise.
+func cancelled(ctx context.Context, draws int) error {
+	if draws%pollEvery != 0 {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("online: arrival generation cancelled after %d arrivals: %w", draws, err)
+	}
+	return nil
 }
 
 // Poisson is a seeded Poisson arrival process: exponential inter-arrival
@@ -30,26 +49,33 @@ type Poisson struct {
 }
 
 // Times draws the arrival sequence. A fixed (RatePerSec, Seed) pair
-// always produces the identical sequence.
-func (p Poisson) Times(horizonSec float64, max int) []float64 {
+// always produces the identical sequence. Bounded by max alone, the
+// sequence has exactly max entries, so it is allocated once.
+func (p Poisson) Times(ctx context.Context, horizonSec float64, max int) ([]float64, error) {
 	if p.RatePerSec <= 0 {
-		return nil
+		return nil, nil
 	}
 	if horizonSec <= 0 && max <= 0 {
 		// No bound at all would loop forever; match Periodic's guard.
-		return nil
+		return nil, nil
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	var out []float64
+	if horizonSec <= 0 {
+		out = make([]float64, 0, max)
+	}
 	t := 0.0
 	for max <= 0 || len(out) < max {
+		if err := cancelled(ctx, len(out)); err != nil {
+			return nil, err
+		}
 		t += rng.ExpFloat64() / p.RatePerSec
 		if horizonSec > 0 && t >= horizonSec {
 			break
 		}
 		out = append(out, t)
 	}
-	return out
+	return out, nil
 }
 
 // Trace replays an explicit arrival-time list (trace-driven load), e.g.
@@ -87,8 +113,9 @@ func (tr Trace) Validate() error {
 	return nil
 }
 
-// Times returns the trace clipped to the horizon and entry bounds.
-func (tr Trace) Times(horizonSec float64, max int) []float64 {
+// Times returns the trace clipped to the horizon and entry bounds. The
+// trace's own length bounds the work, so ctx is not polled.
+func (tr Trace) Times(_ context.Context, horizonSec float64, max int) ([]float64, error) {
 	out := make([]float64, 0, len(tr.TimesSec))
 	for _, t := range tr.TimesSec {
 		if horizonSec > 0 && t >= horizonSec {
@@ -99,7 +126,7 @@ func (tr Trace) Times(horizonSec float64, max int) []float64 {
 		}
 		out = append(out, t)
 	}
-	return out
+	return out, nil
 }
 
 // Periodic emits one request every PeriodSec starting at OffsetSec — the
@@ -111,17 +138,20 @@ type Periodic struct {
 }
 
 // Times returns the periodic sequence within the bounds.
-func (p Periodic) Times(horizonSec float64, max int) []float64 {
+func (p Periodic) Times(ctx context.Context, horizonSec float64, max int) ([]float64, error) {
 	if p.PeriodSec <= 0 {
-		return nil
+		return nil, nil
 	}
 	if horizonSec <= 0 && max <= 0 {
 		// No bound at all would loop forever; return nothing, matching
 		// Poisson's unbounded guard.
-		return nil
+		return nil, nil
 	}
 	var out []float64
 	for i := 0; ; i++ {
+		if err := cancelled(ctx, i); err != nil {
+			return nil, err
+		}
 		t := p.OffsetSec + float64(i)*p.PeriodSec
 		if horizonSec > 0 && t >= horizonSec {
 			break
@@ -131,5 +161,5 @@ func (p Periodic) Times(horizonSec float64, max int) []float64 {
 		}
 		out = append(out, t)
 	}
-	return out
+	return out, nil
 }

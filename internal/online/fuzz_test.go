@@ -33,7 +33,10 @@ func FuzzTraceArrivals(f *testing.F) {
 			return
 		}
 		const horizon, max = 10.0, 5
-		out := tr.Times(horizon, max)
+		out, err := tr.Times(context.Background(), horizon, max)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(out) > max {
 			t.Fatalf("Times returned %d arrivals, max %d", len(out), max)
 		}

@@ -30,9 +30,11 @@
 package online
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -175,8 +177,8 @@ type Config struct {
 // PhaseTimings is the simulator's own wall-clock phase breakdown
 // (Config.CollectTiming), in milliseconds. These time the simulator
 // program, not the simulated fleet: use them to see where a slow
-// simulation call spends its time (arrival generation scales with the
-// request count, the event loop with requests × queue depth).
+// simulation call spends its time (arrival generation and the event
+// loop both scale with requests × classes).
 type PhaseTimings struct {
 	ValidateMs  float64 `json:"validate_ms"`
 	ArrivalsMs  float64 `json:"arrivals_ms"`
@@ -363,20 +365,147 @@ type Report struct {
 	Timing *PhaseTimings `json:"timing,omitempty"`
 }
 
-// pending is one generated arrival before service.
-type pending struct {
-	class, seq int
-	arrival    float64
-}
-
 // effectiveDeadline is a queued request's absolute effective deadline
 // (EDF's ordering key): arrival plus the class's tightest relative
-// deadline, +Inf for unconstrained classes.
-func effectiveDeadline(rq pending, minDL []float64) float64 {
-	if math.IsInf(minDL[rq.class], 1) {
+// deadline minDL, +Inf for unconstrained classes.
+func effectiveDeadline(arrival, minDL float64) float64 {
+	if math.IsInf(minDL, 1) {
 		return math.Inf(1)
 	}
-	return rq.arrival + minDL[rq.class]
+	return arrival + minDL
+}
+
+// arrivalMerge admits the classes' arrival streams in merge order
+// (time, class index, sequence) without sorting them together: each
+// stream is ascending, so the next arrival is the earliest of the
+// streams' fronts, ties going to the lower class.
+type arrivalMerge struct {
+	times [][]float64
+	// next[c] is the sequence number of class c's next arrival.
+	next []int
+	// c and t are the class and time of the next arrival; c is -1 once
+	// every stream is drained.
+	c int
+	t float64
+}
+
+func newArrivalMerge(times [][]float64) *arrivalMerge {
+	m := &arrivalMerge{times: times, next: make([]int, len(times))}
+	m.advance()
+	return m
+}
+
+// advance finds the next arrival over the stream fronts.
+func (m *arrivalMerge) advance() {
+	m.c = -1
+	for c, ts := range m.times {
+		if i := m.next[c]; i < len(ts) && (m.c < 0 || ts[i] < m.t) {
+			m.c, m.t = c, ts[i]
+		}
+	}
+}
+
+// pop admits the next arrival (m.c must be >= 0) and returns its class,
+// sequence number and time.
+func (m *arrivalMerge) pop() (class, seq int, t float64) {
+	class, seq, t = m.c, m.next[m.c], m.t
+	m.next[class]++
+	m.advance()
+	return class, seq, t
+}
+
+// waiting is the dispatcher's queue of admitted, unserved requests: one
+// arrival-ordered slice per class plus the head of each non-empty
+// class. A request's effective deadline is its arrival plus a per-class
+// constant, so within a class, arrival order is deadline order too, and
+// every built-in policy's choice over the whole queue is some class's
+// head (FIFO: the global head; SwitchAware: the current class's head;
+// EDF: the first request with the minimal deadline). Handing
+// Policy.Pick the heads alone therefore picks the same request in
+// O(classes) instead of O(queue depth).
+type waiting struct {
+	// class[c] is class c's waiting requests in arrival order: a window
+	// of one buffer whose capacity is the class's arrival count, so a
+	// push never reallocates and a pop reslices the front.
+	class [][]Queued
+	// heads holds class[c][0] of every non-empty class in merge order.
+	heads []Queued
+	// depth counts the waiting requests.
+	depth int
+	// all is the whole queue in merge order, the view shedders receive,
+	// kept only when keepAll is set (admission control is on).
+	// Arrivals are admitted in merge order, so a push appends to it and
+	// a pop finds its request by binary search.
+	all     []Queued
+	keepAll bool
+}
+
+// mergeOrder is the simulator-wide merge order of queued requests:
+// arrival time, then class index, then sequence number.
+func mergeOrder(a, b Queued) int {
+	if c := cmp.Compare(a.ArrivalSec, b.ArrivalSec); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Class, b.Class); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
+}
+
+// newWaiting sizes the queue for counts[c] arrivals of class c;
+// keepAll maintains the merged view for shedders.
+func newWaiting(counts []int, keepAll bool) *waiting {
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	buf := make([]Queued, total)
+	w := &waiting{
+		class:   make([][]Queued, len(counts)),
+		heads:   make([]Queued, 0, len(counts)),
+		keepAll: keepAll,
+	}
+	off := 0
+	for c, n := range counts {
+		w.class[c] = buf[off : off : off+n]
+		off += n
+	}
+	return w
+}
+
+// insertHead places a class's new head among the heads in merge order.
+func (w *waiting) insertHead(q Queued) {
+	i, _ := slices.BinarySearchFunc(w.heads, q, mergeOrder)
+	w.heads = slices.Insert(w.heads, i, q)
+}
+
+// push queues an admitted arrival; arrivals come in merge order.
+func (w *waiting) push(q Queued) {
+	if len(w.class[q.Class]) == 0 {
+		w.insertHead(q)
+	}
+	w.class[q.Class] = append(w.class[q.Class], q)
+	w.depth++
+	if w.keepAll {
+		w.all = append(w.all, q)
+	}
+}
+
+// pop removes and returns heads[k], promoting its class's next request.
+func (w *waiting) pop(k int) Queued {
+	q := w.heads[k]
+	w.heads = slices.Delete(w.heads, k, k+1)
+	rest := w.class[q.Class][1:]
+	w.class[q.Class] = rest
+	if len(rest) > 0 {
+		w.insertHead(rest[0])
+	}
+	w.depth--
+	if w.keepAll {
+		i, _ := slices.BinarySearchFunc(w.all, q, mergeOrder)
+		w.all = slices.Delete(w.all, i, i+1)
+	}
+	return q
 }
 
 // pkgState is one replica's engine state.
@@ -394,10 +523,11 @@ type validator interface{ Validate() error }
 
 // Simulate runs the discrete-event loop over Config.Packages replicas.
 // Whenever a package is free and requests wait, the dispatcher hands
-// the queue to the policy; determinism comes from documented
-// tie-breaks — the queue is kept in arrival-merge order (time, class
-// index, sequence), and among packages free at the same dispatch time
-// the lowest index serves first.
+// the policy the head of each class's waiting requests; determinism
+// comes from documented tie-breaks — arrivals are admitted in
+// arrival-merge order (time, class index, sequence), the heads are
+// listed in that order, and among packages free at the same dispatch
+// time the lowest index serves first.
 //
 // ctx bounds the simulation: long runs (large horizons, high rates)
 // poll it periodically and return ctx's error when it is cancelled — a
@@ -451,36 +581,34 @@ func Simulate(ctx context.Context, cfg Config) (*Report, error) {
 
 	clk.lap(&pt.ValidateMs)
 
-	// Generate and merge the per-class arrival streams. The ascending
-	// check is a cross-generator invariant (custom Arrivals included);
-	// the built-in Trace already fails faster through Validate above.
-	var reqs []pending
+	// Generate the per-class arrival streams; the event loop merges
+	// them as it admits. The ascending check is a cross-generator
+	// invariant (custom Arrivals included) that the merge relies on; the
+	// built-in Trace already fails faster through Validate above.
+	times := make([][]float64, len(cfg.Classes))
+	counts := make([]int, len(cfg.Classes))
+	total := 0
 	for ci := range cfg.Classes {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("online: simulation cancelled: %w", err)
 		}
-		times := cfg.Classes[ci].Arrivals.Times(cfg.HorizonSec, cfg.MaxRequestsPerClass)
-		for seq, t := range times {
-			if seq > 0 && t < times[seq-1] {
+		ts, err := cfg.Classes[ci].Arrivals.Times(ctx, cfg.HorizonSec, cfg.MaxRequestsPerClass)
+		if err != nil {
+			return nil, fmt.Errorf("online: class %d (%s): %w", ci, cfg.Classes[ci].Name, err)
+		}
+		for seq := 1; seq < len(ts); seq++ {
+			if ts[seq] < ts[seq-1] {
 				return nil, fmt.Errorf("online: class %d (%s) arrivals not ascending", ci, cfg.Classes[ci].Name)
 			}
-			reqs = append(reqs, pending{class: ci, seq: seq, arrival: t})
 		}
+		times[ci], counts[ci] = ts, len(ts)
+		total += len(ts)
 	}
-	sort.SliceStable(reqs, func(i, j int) bool {
-		if reqs[i].arrival != reqs[j].arrival {
-			return reqs[i].arrival < reqs[j].arrival
-		}
-		if reqs[i].class != reqs[j].class {
-			return reqs[i].class < reqs[j].class
-		}
-		return reqs[i].seq < reqs[j].seq
-	})
 
 	clk.lap(&pt.ArrivalsMs)
 
-	rep := &Report{Requests: len(reqs), Packages: nPkgs, Policy: pol.Name()}
-	if len(reqs) == 0 {
+	rep := &Report{Requests: total, Packages: nPkgs, Policy: pol.Name()}
+	if total == 0 {
 		rep.SLAAttainment = 1
 		rep.PerPackage = make([]PackageReport, nPkgs)
 		for p := range rep.PerPackage {
@@ -532,10 +660,10 @@ func Simulate(ctx context.Context, cfg Config) (*Report, error) {
 	// Dispatch loop: pick the earliest-free package (ties: lowest
 	// index), advance to the next arrival if nothing waits, admit every
 	// arrival up to the dispatch time — screening each one through
-	// admission control — then let the policy pick. The loop runs until
-	// arrivals and queue are both exhausted: with shedding, dispatches
-	// no longer map one-to-one onto arrivals.
-	rep.Outcomes = make([]RequestOutcome, 0, len(reqs))
+	// admission control — then let the policy pick among the class
+	// heads. The loop runs until arrivals and queue are both exhausted:
+	// with shedding, dispatches no longer map one-to-one onto arrivals.
+	rep.Outcomes = make([]RequestOutcome, 0, total)
 	pkgs := make([]pkgState, nPkgs)
 	for p := range pkgs {
 		pkgs[p].class = -1
@@ -546,16 +674,16 @@ func Simulate(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	perChecks := make([]int, len(cfg.Classes))
 	perMisses := make([]int, len(cfg.Classes))
-	var queue []Queued
-	next := 0 // next merged arrival to admit
+	arrivals := newArrivalMerge(times)
+	queue := newWaiting(counts, adm != nil)
 	var totalWait, totalQueueWait, totalSojourn float64
-	for iter := 0; next < len(reqs) || len(queue) > 0; iter++ {
+	for iter := 0; arrivals.c >= 0 || queue.depth > 0; iter++ {
 		// Poll cancellation every 256 iterations: cheap against the
 		// event loop's per-request work, prompt against any realistic
 		// load.
 		if iter&255 == 255 {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("online: simulation cancelled after %d of %d requests: %w", len(rep.Outcomes), len(reqs), err)
+				return nil, fmt.Errorf("online: simulation cancelled after %d of %d requests: %w", len(rep.Outcomes), total, err)
 			}
 		}
 		// Earliest dispatch time over the fleet...
@@ -571,11 +699,9 @@ func Simulate(ctx context.Context, cfg Config) (*Report, error) {
 		// before the head arrived must not serve it in the past), the
 		// next arrival otherwise (the loop condition guarantees one
 		// exists when the queue is empty).
-		avail := 0.0
-		if len(queue) > 0 {
-			avail = queue[0].ArrivalSec
-		} else {
-			avail = reqs[next].arrival
+		avail := arrivals.t
+		if queue.depth > 0 {
+			avail = queue.heads[0].ArrivalSec
 		}
 		if avail > t {
 			t = avail
@@ -591,61 +717,60 @@ func Simulate(ctx context.Context, cfg Config) (*Report, error) {
 		// dispatch pops the queue, so the request about to be served
 		// still counts as waiting. Queue length only grows at arrivals,
 		// so evaluating the watermark hysteresis here is exact.
-		for next < len(reqs) && reqs[next].arrival <= t {
-			rq := reqs[next]
-			next++
+		for arrivals.c >= 0 && arrivals.t <= t {
+			ci, seq, at := arrivals.pop()
+			rq := Queued{Class: ci, Seq: seq, ArrivalSec: at, DeadlineSec: effectiveDeadline(at, minDL[ci])}
 			if adm != nil {
-				if engaged && len(queue) <= adm.LowWatermark {
+				if engaged && queue.depth <= adm.LowWatermark {
 					engaged = false
 				}
-				if !engaged && adm.HighWatermark > 0 && len(queue) >= adm.HighWatermark {
+				if !engaged && adm.HighWatermark > 0 && queue.depth >= adm.HighWatermark {
 					engaged = true
 					rep.BackpressureEngagements++
 				}
 				reason := ""
-				if adm.MaxQueueDepth > 0 && len(queue) >= adm.MaxQueueDepth {
+				if adm.MaxQueueDepth > 0 && queue.depth >= adm.MaxQueueDepth {
 					reason = ReasonQueueFull
 				} else {
-					arr := Queued{Class: rq.class, Seq: rq.seq, ArrivalSec: rq.arrival, DeadlineSec: effectiveDeadline(rq, minDL)}
 					view := AdmissionView{
 						Packages:        nPkgs,
-						NowSec:          rq.arrival,
+						NowSec:          at,
 						EarliestFreeSec: minFree,
 						Engaged:         engaged,
 						Classes:         admClasses,
 					}
-					if shedder.Shed(arr, queue, view) {
+					if shedder.Shed(rq, queue.all, view) {
 						reason = shedder.Name()
 					}
 				}
 				if reason != "" {
-					rep.Shed = append(rep.Shed, ShedOutcome{Class: rq.class, Seq: rq.seq, ArrivalSec: rq.arrival, Reason: reason})
+					rep.Shed = append(rep.Shed, ShedOutcome{Class: ci, Seq: seq, ArrivalSec: at, Reason: reason})
 					continue
 				}
 			}
-			queue = append(queue, Queued{Class: rq.class, Seq: rq.seq, ArrivalSec: rq.arrival, DeadlineSec: effectiveDeadline(rq, minDL)})
+			queue.push(rq)
 		}
-		if len(queue) == 0 {
+		if queue.depth == 0 {
 			// Every admitted arrival was shed; nothing to dispatch.
 			continue
 		}
 
 		st := &pkgs[pi]
-		k := pol.Pick(queue, PackageView{Index: pi, Class: st.class, Run: st.run, NowSec: t})
-		if k < 0 || k >= len(queue) {
-			return nil, fmt.Errorf("online: policy %s picked index %d of a %d-request queue", pol.Name(), k, len(queue))
+		k := pol.Pick(queue.heads, PackageView{Index: pi, Class: st.class, Run: st.run, NowSec: t})
+		if k < 0 || k >= len(queue.heads) {
+			return nil, fmt.Errorf("online: policy %s picked index %d of %d class heads", pol.Name(), k, len(queue.heads))
 		}
-		rq := queue[k]
+		rq := queue.heads[k]
 		if rq.ArrivalSec > t {
 			// Cannot happen: every admitted request arrived by the
-			// dispatch time (the queue is in arrival order and t covers
-			// its head). Guarded so a future engine change that breaks
-			// the invariant fails loudly instead of serving a request
-			// before it exists.
+			// dispatch time (t covers the earliest head's arrival).
+			// Guarded so a future engine change that breaks the
+			// invariant fails loudly instead of serving a request before
+			// it exists.
 			return nil, fmt.Errorf("online: internal: dispatch at %v precedes arrival %v (class %d seq %d)",
 				t, rq.ArrivalSec, rq.Class, rq.Seq)
 		}
-		queue = append(queue[:k], queue[k+1:]...)
+		queue.pop(k)
 		c := &cfg.Classes[rq.Class]
 
 		out := RequestOutcome{
@@ -854,34 +979,29 @@ func percentile(sorted []float64, q float64) float64 {
 	return sorted[rank]
 }
 
-// qEvent is one queue-depth change: arrivals push, busy starts pop.
-type qEvent struct {
-	t     float64
-	delta int
-}
-
-// maxQueueDepth sweeps arrival/busy-start events for the instantaneous
-// peak of the waiting queue. A request waits from its arrival until a
-// package starts working on it (BusyStartSec) — reconfiguration time is
-// package-busy time, not queueing, so a request being reconfigured-for
-// does not count as queued. Pops sort before pushes at equal times, so
-// a request picked up the moment it arrives never counts as queued.
+// maxQueueDepth sweeps arrivals (pushes) and busy starts (pops) for the
+// instantaneous peak of the waiting queue. A request waits from its
+// arrival until a package starts working on it (BusyStartSec) —
+// reconfiguration time is package-busy time, not queueing, so a request
+// being reconfigured-for does not count as queued. Pops go before
+// pushes at equal times, so a request picked up the moment it arrives
+// never counts as queued. The peak is reached right after a push: the
+// i-th push in time order, less every pop no later than it.
 func maxQueueDepth(outs []RequestOutcome) int {
-	evs := make([]qEvent, 0, 2*len(outs))
-	for _, o := range outs {
-		evs = append(evs, qEvent{t: o.ArrivalSec, delta: 1}, qEvent{t: o.BusyStartSec, delta: -1})
+	push := make([]float64, len(outs))
+	pop := make([]float64, len(outs))
+	for i := range outs {
+		push[i], pop[i] = outs[i].ArrivalSec, outs[i].BusyStartSec
 	}
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].t != evs[j].t {
-			return evs[i].t < evs[j].t
+	slices.Sort(push)
+	slices.Sort(pop)
+	max, popped := 0, 0
+	for i, t := range push {
+		for popped < len(pop) && pop[popped] <= t {
+			popped++
 		}
-		return evs[i].delta < evs[j].delta
-	})
-	cur, max := 0, 0
-	for _, e := range evs {
-		cur += e.delta
-		if cur > max {
-			max = cur
+		if d := i + 1 - popped; d > max {
+			max = d
 		}
 	}
 	return max

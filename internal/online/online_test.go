@@ -52,6 +52,16 @@ func mustClass(t testing.TB, name string, arr Arrivals, slack float64) Class {
 	return c
 }
 
+// mustTimes draws an arrival stream under a live context.
+func mustTimes(t *testing.T, a Arrivals, horizonSec float64, max int) []float64 {
+	t.Helper()
+	out, err := a.Times(context.Background(), horizonSec, max)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestNewClassDerivations(t *testing.T) {
 	c := mustClass(t, "c", Poisson{RatePerSec: 1, Seed: 1}, 2)
 	if c.Metrics.LatencySec <= 0 {
@@ -247,17 +257,17 @@ func TestSimulateValidation(t *testing.T) {
 
 func TestTraceArrivalsClipping(t *testing.T) {
 	tr := Trace{TimesSec: []float64{0.5, 1.5, 2.5, 3.5}}
-	if got := tr.Times(2.0, 0); len(got) != 2 {
+	if got := mustTimes(t, tr, 2.0, 0); len(got) != 2 {
 		t.Errorf("horizon clip = %v", got)
 	}
-	if got := tr.Times(0, 3); len(got) != 3 {
+	if got := mustTimes(t, tr, 0, 3); len(got) != 3 {
 		t.Errorf("max clip = %v", got)
 	}
 }
 
 func TestPoissonReproducible(t *testing.T) {
 	p := Poisson{RatePerSec: 10, Seed: 42}
-	a, b := p.Times(5, 0), p.Times(5, 0)
+	a, b := mustTimes(t, p, 5, 0), mustTimes(t, p, 5, 0)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("Poisson stream not reproducible")
 	}
@@ -269,7 +279,7 @@ func TestPoissonReproducible(t *testing.T) {
 			t.Fatal("Poisson times not ascending")
 		}
 	}
-	q := (Poisson{RatePerSec: 10, Seed: 43}).Times(5, 0)
+	q := mustTimes(t, Poisson{RatePerSec: 10, Seed: 43}, 5, 0)
 	if reflect.DeepEqual(a, q) {
 		t.Error("different seeds gave identical streams")
 	}
@@ -296,20 +306,20 @@ func TestUnboundedArrivalGuards(t *testing.T) {
 	// no process may loop forever — and all of them agree on returning
 	// nil rather than a truncated prefix. (Periodic used to emit one
 	// element where Poisson returned nil.)
-	if got := (Poisson{RatePerSec: 10, Seed: 1}).Times(0, 0); got != nil {
+	if got := mustTimes(t, Poisson{RatePerSec: 10, Seed: 1}, 0, 0); got != nil {
 		t.Errorf("unbounded Poisson returned %d times, want nil", len(got))
 	}
-	if got := (Periodic{PeriodSec: 1}).Times(0, 0); got != nil {
+	if got := mustTimes(t, Periodic{PeriodSec: 1}, 0, 0); got != nil {
 		t.Errorf("unbounded Periodic returned %d times, want nil", len(got))
 	}
-	if got := (Periodic{PeriodSec: 1, OffsetSec: 3}).Times(0, 0); got != nil {
+	if got := mustTimes(t, Periodic{PeriodSec: 1, OffsetSec: 3}, 0, 0); got != nil {
 		t.Errorf("unbounded offset Periodic returned %d times, want nil", len(got))
 	}
 	// Bounded Periodic still emits.
-	if got := (Periodic{PeriodSec: 1}).Times(2.5, 0); len(got) != 3 {
+	if got := mustTimes(t, Periodic{PeriodSec: 1}, 2.5, 0); len(got) != 3 {
 		t.Errorf("bounded Periodic = %v, want 3 times", got)
 	}
-	if got := (Periodic{PeriodSec: 1}).Times(0, 2); len(got) != 2 {
+	if got := mustTimes(t, Periodic{PeriodSec: 1}, 0, 2); len(got) != 2 {
 		t.Errorf("max-bounded Periodic = %v, want 2 times", got)
 	}
 }
@@ -322,7 +332,7 @@ func TestNewTraceValidatesAscending(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ascending trace rejected: %v", err)
 	}
-	if got := tr.Times(0, 0); len(got) != 4 {
+	if got := mustTimes(t, tr, 0, 0); len(got) != 4 {
 		t.Errorf("trace times = %v", got)
 	}
 	if _, err := NewTrace(nil); err != nil {
@@ -379,5 +389,22 @@ func TestSimulateCancelled(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Error("live deadline context perturbed the simulation")
+	}
+}
+
+// TestArrivalsHonourCancellation: a cancelled context stops arrival
+// generation, even on a stream bounded only by a million-entry cap, and
+// the error wraps context.Canceled.
+func TestArrivalsHonourCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, a := range []Arrivals{Poisson{RatePerSec: 10, Seed: 1}, Periodic{PeriodSec: 0.1}} {
+		got, err := a.Times(ctx, 0, 1<<20)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%T: err = %v, want context.Canceled", a, err)
+		}
+		if got != nil {
+			t.Errorf("%T: cancelled generation returned %d arrivals", a, len(got))
+		}
 	}
 }

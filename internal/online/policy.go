@@ -5,10 +5,11 @@ import (
 	"math"
 )
 
-// Queued is the policy-visible view of one waiting request. The engine
-// hands policies the queue in arrival order — ties broken on (time,
-// class index, sequence), the simulator-wide merge convention — so
-// "first index with property P" is itself a deterministic tie-break.
+// Queued is the policy- and shedder-visible view of one waiting
+// request. The engine hands policies the class heads, and shedders the
+// whole queue, in arrival-merge order — ties broken on (time, class
+// index, sequence), the simulator-wide merge convention — so "first
+// index with property P" is itself a deterministic tie-break.
 type Queued struct {
 	// Class and Seq identify the request (class index, per-class arrival
 	// sequence number).
@@ -42,17 +43,24 @@ type PackageView struct {
 }
 
 // Policy picks which waiting request a freed package serves next. The
-// engine calls Pick once per dispatch with a non-empty queue; Pick
-// returns an index into q. Implementations must be deterministic pure
-// functions of their receiver value and the arguments — no hidden
-// state, no RNGs — so simulations stay bit-identical regardless of how
-// many run concurrently. An out-of-range index fails the simulation
-// loudly rather than silently serving the wrong request.
+// engine calls Pick once per dispatch with q holding one head per class
+// that has requests waiting — the class's earliest waiting arrival — in
+// arrival-merge order, never empty; Pick returns an index into q. A
+// waiting request's effective deadline is its arrival plus a per-class
+// constant, so within a class, arrival order is deadline order: each
+// built-in policy's choice over the whole queue is some class's head,
+// and choosing among heads costs O(classes), not O(queue depth).
+// Implementations must be deterministic pure functions of their
+// receiver value and the arguments — no hidden state, no RNGs — so
+// simulations stay bit-identical regardless of how many run
+// concurrently. An out-of-range index fails the simulation loudly
+// rather than silently serving the wrong request.
 type Policy interface {
 	// Name is the policy's wire vocabulary name ("fifo", "edf",
 	// "switch-aware").
 	Name() string
-	// Pick selects the next request: an index into q (never empty).
+	// Pick selects the next request: an index into q, the class heads
+	// (never empty).
 	Pick(q []Queued, pkg PackageView) int
 }
 
@@ -63,8 +71,8 @@ type FIFO struct{}
 // Name implements Policy.
 func (FIFO) Name() string { return "fifo" }
 
-// Pick returns the head of the queue (earliest arrival; ties already
-// broken on class then sequence by the queue order).
+// Pick returns the first head: the earliest waiting arrival (ties
+// already broken on class by the heads' order).
 func (FIFO) Pick(q []Queued, _ PackageView) int { return 0 }
 
 // EDF serves the request with the earliest effective deadline first

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -23,11 +24,14 @@ import (
 // on the whole report.
 func referenceSimulate(t *testing.T, cfg Config) *Report {
 	t.Helper()
-	var reqs []pending
+	var reqs []refPending
 	for ci := range cfg.Classes {
-		times := cfg.Classes[ci].Arrivals.Times(cfg.HorizonSec, cfg.MaxRequestsPerClass)
+		times, err := cfg.Classes[ci].Arrivals.Times(context.Background(), cfg.HorizonSec, cfg.MaxRequestsPerClass)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for seq, tm := range times {
-			reqs = append(reqs, pending{class: ci, seq: seq, arrival: tm})
+			reqs = append(reqs, refPending{class: ci, seq: seq, arrival: tm})
 		}
 	}
 	sort.SliceStable(reqs, func(i, j int) bool {
@@ -195,7 +199,10 @@ func referenceQueueSimulate(t testing.TB, cfg Config) *Report {
 	}
 	var reqs []refPending
 	for ci := range cfg.Classes {
-		times := cfg.Classes[ci].Arrivals.Times(cfg.HorizonSec, cfg.MaxRequestsPerClass)
+		times, err := cfg.Classes[ci].Arrivals.Times(context.Background(), cfg.HorizonSec, cfg.MaxRequestsPerClass)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for seq, tm := range times {
 			reqs = append(reqs, refPending{class: ci, seq: seq, arrival: tm})
 		}
@@ -623,37 +630,50 @@ func queueHeads(q []Queued) []Queued {
 
 // TestBuiltinPoliciesPickClassHeads: on random arrival-ordered queues,
 // every built-in policy's pick over the full queue is the head of its
-// class, and the same policy picks that request out of the class heads
-// alone.
+// class, and the same policy picks that request out of the engine's
+// class heads. Pushes and pops interleave as in the event loop, and
+// after each step the engine's heads and merged shedder view must equal
+// the flat queue's.
 func TestBuiltinPoliciesPickClassHeads(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	policies := []Policy{FIFO{}, EDF{}}
 	for r := 1; r <= 8; r++ {
 		policies = append(policies, SwitchAware{MaxRun: r})
 	}
-	for i := 0; i < 2000; i++ {
-		q := randomArrivalQueue(rng)
-		heads := queueHeads(q)
-		view := PackageView{Class: rng.Intn(7) - 1, Run: rng.Intn(10)}
+	for i := 0; i < 500; i++ {
+		arrivals := randomArrivalQueue(rng)
+		counts := make([]int, 6)
+		for _, a := range arrivals {
+			counts[a.Class]++
+		}
 		for _, pol := range policies {
-			k := pol.Pick(q, view)
-			picked := q[k]
-			if heads[slicesIndexClass(heads, picked.Class)] != picked {
-				t.Fatalf("case %d: %s picked %+v, not the head of class %d (queue %+v)", i, pol.Name(), picked, picked.Class, q)
-			}
-			if h := pol.Pick(heads, view); heads[h] != picked {
-				t.Fatalf("case %d: %s over heads picked %+v, over the queue %+v (queue %+v)", i, pol.Name(), heads[h], picked, q)
+			w := newWaiting(counts, true)
+			var flat []Queued
+			for pushed := 0; pushed < len(arrivals) || len(flat) > 0; {
+				if pushed < len(arrivals) && (len(flat) == 0 || rng.Intn(2) == 0) {
+					flat = append(flat, arrivals[pushed])
+					w.push(arrivals[pushed])
+					pushed++
+				} else {
+					view := PackageView{Class: rng.Intn(7) - 1, Run: rng.Intn(10)}
+					k := pol.Pick(flat, view)
+					heads := queueHeads(flat)
+					if !slices.Contains(heads, flat[k]) {
+						t.Fatalf("case %d: %s picked %+v, not the head of its class (queue %+v)", i, pol.Name(), flat[k], flat)
+					}
+					if h := pol.Pick(w.heads, view); w.heads[h] != flat[k] {
+						t.Fatalf("case %d: %s over heads picked %+v, over the queue %+v (queue %+v)", i, pol.Name(), w.heads[h], flat[k], flat)
+					}
+					w.pop(slices.Index(w.heads, flat[k]))
+					flat = slices.Delete(flat, k, k+1)
+				}
+				if !slices.Equal(w.heads, queueHeads(flat)) || w.depth != len(flat) {
+					t.Fatalf("case %d: heads %+v (depth %d), want %+v (queue %+v)", i, w.heads, w.depth, queueHeads(flat), flat)
+				}
+				if !slices.Equal(w.all, flat) {
+					t.Fatalf("case %d: shedder view %+v, want %+v", i, w.all, flat)
+				}
 			}
 		}
 	}
-}
-
-// slicesIndexClass is the index of class c's entry in heads.
-func slicesIndexClass(heads []Queued, c int) int {
-	for i, h := range heads {
-		if h.Class == c {
-			return i
-		}
-	}
-	return -1
 }

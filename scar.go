@@ -131,7 +131,9 @@ type (
 	SimReport = online.Report
 	// SimOutcome is one simulated request's life cycle.
 	SimOutcome = online.RequestOutcome
-	// Arrivals generates a deterministic arrival-time sequence.
+	// Arrivals generates a deterministic arrival-time sequence; its
+	// Times(ctx, horizonSec, max) polls ctx and returns an error
+	// wrapping ctx.Err() once it is cancelled.
 	Arrivals = online.Arrivals
 	// PoissonArrivals is a seeded Poisson arrival process.
 	PoissonArrivals = online.Poisson
@@ -141,8 +143,10 @@ type (
 	// frame clock).
 	PeriodicArrivals = online.Periodic
 	// SimPolicy picks which waiting request a freed package serves next
-	// (SimConfig.Policy); implementations must be deterministic pure
-	// functions so simulations stay bit-identical under concurrency.
+	// (SimConfig.Policy). Pick sees one head per class with requests
+	// waiting (its earliest arrival), in arrival-merge order, not the
+	// whole queue. Implementations must be deterministic pure functions
+	// so simulations stay bit-identical under concurrency.
 	SimPolicy = online.Policy
 	// SimQueued is the policy-visible view of one waiting request.
 	SimQueued = online.Queued
