@@ -760,7 +760,7 @@ func Simulate(ctx context.Context, cfg Config) (*Report, error) {
 		if k < 0 || k >= len(queue.heads) {
 			return nil, fmt.Errorf("online: policy %s picked index %d of %d class heads", pol.Name(), k, len(queue.heads))
 		}
-		rq := queue.heads[k]
+		rq := queue.pop(k)
 		if rq.ArrivalSec > t {
 			// Cannot happen: every admitted request arrived by the
 			// dispatch time (t covers the earliest head's arrival).
@@ -770,7 +770,6 @@ func Simulate(ctx context.Context, cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("online: internal: dispatch at %v precedes arrival %v (class %d seq %d)",
 				t, rq.ArrivalSec, rq.Class, rq.Seq)
 		}
-		queue.pop(k)
 		c := &cfg.Classes[rq.Class]
 
 		out := RequestOutcome{
