@@ -12,7 +12,6 @@ import (
 	"example.com/scar/internal/mcm"
 	"example.com/scar/internal/models"
 	"example.com/scar/internal/online"
-	"example.com/scar/internal/workload"
 )
 
 // This file is the online-serving experiment (not a paper artifact): an
@@ -170,16 +169,24 @@ func (s *Suite) scheduleOnlineMix(ctx context.Context) (*onlineMix, error) {
 	return mix, nil
 }
 
-// sweepPoints runs the arrival-rate sweep over the scheduled mix for
-// one (packages, policy) configuration. The Poisson seeds depend only
-// on (suite seed, point, class), so at a given replica count every
-// policy faces the identical arrival streams and the curves are
-// directly comparable. (Across replica counts the streams differ: the
-// offered rate scales with the fleet so rho stays the per-package
+// loadRun is one simulated offered-load point of a sweep: the load, the
+// total Poisson rate and horizon it became, and the report.
+type loadRun struct {
+	load, rate, horizon float64
+	rep                 *online.Report
+}
+
+// runLoads simulates the scheduled mix at each offered load for one
+// (packages, policy, admission) configuration, about targetRequests
+// arrivals per load. The Poisson seeds depend only on (suite seed, load
+// index, class), so at a given replica count every policy and every
+// admission guard faces the identical arrival streams and the curves
+// are directly comparable. (Across replica counts the streams differ:
+// the offered rate scales with the fleet so rho stays the per-package
 // load.)
-func (s *Suite) sweepPoints(ctx context.Context, mix *onlineMix, packages int, policy online.Policy, targetRequests int) ([]OnlinePoint, error) {
-	var points []OnlinePoint
-	for pi, load := range onlineSweepLoads {
+func (s *Suite) runLoads(ctx context.Context, mix *onlineMix, loads []float64, packages int, policy online.Policy, adm *online.Admission, targetRequests int) ([]loadRun, error) {
+	runs := make([]loadRun, len(loads))
+	for pi, load := range loads {
 		// Offered load is normalized to the fleet: rho = rate / (P * mu).
 		totalRate := load * float64(packages) * mix.capacityPerSec
 		// Horizon that yields about targetRequests arrivals in
@@ -199,13 +206,29 @@ func (s *Suite) sweepPoints(ctx context.Context, mix *onlineMix, packages int, p
 			Packages:   packages,
 			Policy:     policy,
 			HorizonSec: horizon,
+			Admission:  adm,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: online: load %.2f: %w", load, err)
+			return nil, fmt.Errorf("load %.2f: %w", load, err)
 		}
-		pt := OnlinePoint{
-			OfferedLoad:      load,
-			RatePerSec:       totalRate,
+		runs[pi] = loadRun{load: load, rate: totalRate, horizon: horizon, rep: rep}
+	}
+	return runs, nil
+}
+
+// sweepPoints runs the arrival-rate sweep over the scheduled mix for
+// one (packages, policy) configuration, without admission control.
+func (s *Suite) sweepPoints(ctx context.Context, mix *onlineMix, packages int, policy online.Policy, targetRequests int) ([]OnlinePoint, error) {
+	runs, err := s.runLoads(ctx, mix, onlineSweepLoads, packages, policy, nil, targetRequests)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: online: %w", err)
+	}
+	points := make([]OnlinePoint, len(runs))
+	for i, r := range runs {
+		rep := r.rep
+		points[i] = OnlinePoint{
+			OfferedLoad:      r.load,
+			RatePerSec:       r.rate,
 			Requests:         rep.Requests,
 			SLAAttainment:    rep.SLAAttainment,
 			P50LatencySec:    rep.P50LatencySec,
@@ -217,32 +240,43 @@ func (s *Suite) sweepPoints(ctx context.Context, mix *onlineMix, packages int, p
 			ScheduleSwitches: rep.ScheduleSwitches,
 		}
 		if rep.Requests > 0 {
-			pt.EnergyPerReqJ = rep.EnergyJ / float64(rep.Requests)
+			points[i].EnergyPerReqJ = rep.EnergyJ / float64(rep.Requests)
 		}
-		points = append(points, pt)
 	}
 	return points, nil
 }
 
-// Print renders the sweep as a table.
-func (r *OnlineResult) Print(w io.Writer) {
-	fprintf(w, "Online serving sweep: %s edge package, ", r.Strategy)
-	for i, c := range r.Classes {
+// printMixHeader writes a serving sweep's first line: its title and
+// the scheduled class mix.
+func printMixHeader(w io.Writer, title string, classes []OnlineClassInfo) {
+	fprintf(w, "%s, ", title)
+	for i, c := range classes {
 		if i > 0 {
 			fprintf(w, " + ")
 		}
 		fprintf(w, "sc%d (%.0f%%, %.1f ms/req, switch-in %.2f ms)",
 			c.Scenario, 100*c.Share, 1e3*c.ServiceSec, 1e3*c.SwitchInSec)
 	}
-	fprintf(w, "\ncapacity %.1f req/s, seed %d\n", r.CapacityPerSec, r.Seed)
+	fprintf(w, "\n")
+}
+
+// printOnlinePoints renders arrival-rate points as a table.
+func printOnlinePoints(w io.Writer, points []OnlinePoint) {
 	fprintf(w, "%8s %9s %8s %8s %9s %9s %9s %8s %7s %8s\n",
 		"load", "req/s", "reqs", "SLA", "p50 ms", "p95 ms", "p99 ms", "queue", "util", "switches")
-	for _, p := range r.Points {
+	for _, p := range points {
 		fprintf(w, "%8.2f %9.2f %8d %7.1f%% %9.2f %9.2f %9.2f %8.2f %6.0f%% %8d\n",
 			p.OfferedLoad, p.RatePerSec, p.Requests, 100*p.SLAAttainment,
 			1e3*p.P50LatencySec, 1e3*p.P95LatencySec, 1e3*p.P99LatencySec,
 			p.MeanQueueDepth, 100*p.Utilization, p.ScheduleSwitches)
 	}
+}
+
+// Print renders the sweep as a table.
+func (r *OnlineResult) Print(w io.Writer) {
+	printMixHeader(w, "Online serving sweep: "+r.Strategy+" edge package", r.Classes)
+	fprintf(w, "capacity %.1f req/s, seed %d\n", r.CapacityPerSec, r.Seed)
+	printOnlinePoints(w, r.Points)
 }
 
 // WriteJSON writes the snapshot as indented JSON (the BENCH_online.json
@@ -251,16 +285,4 @@ func (r *OnlineResult) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// scenarioModelsWithDeadlines is a tiny helper for the online tests:
-// the count of deadline-bounded models in a scenario.
-func scenarioModelsWithDeadlines(sc workload.Scenario) int {
-	n := 0
-	for _, m := range sc.Models {
-		if m.FPS > 0 {
-			n++
-		}
-	}
-	return n
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"example.com/scar/internal/models"
+	"example.com/scar/internal/workload"
 )
 
 func TestOnlineSweep(t *testing.T) {
@@ -117,4 +118,16 @@ func TestXRScenariosCarryDeadlines(t *testing.T) {
 			t.Errorf("scenario %d: %d models unexpectedly carry frame rates", n, got)
 		}
 	}
+}
+
+// scenarioModelsWithDeadlines counts a scenario's deadline-bounded
+// models.
+func scenarioModelsWithDeadlines(sc workload.Scenario) int {
+	n := 0
+	for _, m := range sc.Models {
+		if m.FPS > 0 {
+			n++
+		}
+	}
+	return n
 }

@@ -151,39 +151,21 @@ func (s *Suite) overloadSweep(ctx context.Context, targetRequests int) (*Overloa
 		if err != nil {
 			return nil, fmt.Errorf("experiments: overload: %s: %w", guard.Name, err)
 		}
+		runs, err := s.runLoads(ctx, mix, overloadSweepLoads, 1, online.FIFO{}, adm, targetRequests)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: overload: %s: %w", guard.Name, err)
+		}
 		sweep := OverloadGuardSweep{Guard: guard}
-		for pi, load := range overloadSweepLoads {
-			totalRate := load * mix.capacityPerSec
-			horizon := float64(targetRequests) / totalRate
-			cfgClasses := make([]online.Class, len(mix.classes))
-			for i, share := range mix.shares {
-				cfgClasses[i] = mix.classes[i]
-				cfgClasses[i].Arrivals = online.Poisson{
-					RatePerSec: share * totalRate,
-					// Same (point, class) seed scheme as sweepPoints, so
-					// every guard faces identical arrival streams and the
-					// curves differ only by admission decisions.
-					Seed: s.Opts.Seed + int64(pi)*100 + int64(i),
-				}
-			}
-			rep, err := online.Simulate(ctx, online.Config{
-				Classes:    cfgClasses,
-				Packages:   1,
-				Policy:     online.FIFO{},
-				HorizonSec: horizon,
-				Admission:  adm,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: overload: %s load %.2f: %w", guard.Name, load, err)
-			}
+		for _, r := range runs {
+			rep := r.rep
 			pt := OverloadPoint{
-				OfferedLoad:             load,
-				RatePerSec:              totalRate,
+				OfferedLoad:             r.load,
+				RatePerSec:              r.rate,
 				Offered:                 rep.OfferedRequests,
 				Requests:                rep.Requests,
 				Shed:                    rep.ShedRequests,
 				AcceptedSLA:             rep.SLAAttainment,
-				GoodputPerSec:           rep.SLAAttainment * float64(rep.Requests) / horizon,
+				GoodputPerSec:           rep.SLAAttainment * float64(rep.Requests) / r.horizon,
 				P50LatencySec:           rep.P50LatencySec,
 				P99LatencySec:           rep.P99LatencySec,
 				MaxQueueDepth:           rep.MaxQueueDepth,
@@ -222,15 +204,8 @@ func (gs *OverloadGuardSweep) Point(load float64) *OverloadPoint {
 
 // Print renders the sweep as one table per guard.
 func (r *OverloadResult) Print(w io.Writer) {
-	fprintf(w, "Overload sweep: %s, 1 package, ", r.Strategy)
-	for i, c := range r.Classes {
-		if i > 0 {
-			fprintf(w, " + ")
-		}
-		fprintf(w, "sc%d (%.0f%%, %.1f ms/req, switch-in %.2f ms)",
-			c.Scenario, 100*c.Share, 1e3*c.ServiceSec, 1e3*c.SwitchInSec)
-	}
-	fprintf(w, "\ncapacity %.1f req/s, seed %d\n", r.CapacityPerSec, r.Seed)
+	printMixHeader(w, "Overload sweep: "+r.Strategy+", 1 package", r.Classes)
+	fprintf(w, "capacity %.1f req/s, seed %d\n", r.CapacityPerSec, r.Seed)
 	for _, gs := range r.Guards {
 		g := gs.Guard
 		fprintf(w, "\nguard %s", g.Name)

@@ -94,25 +94,11 @@ func (r *PoliciesResult) Sweep(policy string) *PolicySweep {
 
 // Print renders the comparison as one table per policy.
 func (r *PoliciesResult) Print(w io.Writer) {
-	fprintf(w, "Dispatch-policy sweep: %s, %d package(s), ", r.Strategy, r.Packages)
-	for i, c := range r.Classes {
-		if i > 0 {
-			fprintf(w, " + ")
-		}
-		fprintf(w, "sc%d (%.0f%%, %.1f ms/req, switch-in %.2f ms)",
-			c.Scenario, 100*c.Share, 1e3*c.ServiceSec, 1e3*c.SwitchInSec)
-	}
-	fprintf(w, "\ncapacity %.1f req/s per package, seed %d\n", r.CapacityPerSec, r.Seed)
+	printMixHeader(w, fmt.Sprintf("Dispatch-policy sweep: %s, %d package(s)", r.Strategy, r.Packages), r.Classes)
+	fprintf(w, "capacity %.1f req/s per package, seed %d\n", r.CapacityPerSec, r.Seed)
 	for _, ps := range r.Policies {
 		fprintf(w, "\npolicy %s\n", ps.Policy)
-		fprintf(w, "%8s %9s %8s %8s %9s %9s %9s %8s %7s %8s\n",
-			"load", "req/s", "reqs", "SLA", "p50 ms", "p95 ms", "p99 ms", "queue", "util", "switches")
-		for _, p := range ps.Points {
-			fprintf(w, "%8.2f %9.2f %8d %7.1f%% %9.2f %9.2f %9.2f %8.2f %6.0f%% %8d\n",
-				p.OfferedLoad, p.RatePerSec, p.Requests, 100*p.SLAAttainment,
-				1e3*p.P50LatencySec, 1e3*p.P95LatencySec, 1e3*p.P99LatencySec,
-				p.MeanQueueDepth, 100*p.Utilization, p.ScheduleSwitches)
-		}
+		printOnlinePoints(w, ps.Points)
 	}
 }
 

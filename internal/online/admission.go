@@ -96,8 +96,9 @@ type ShedClassView struct {
 }
 
 // AdmissionView is the shedder-visible engine state at one arrival's
-// admission point. Like policies, shedders must be deterministic pure
-// functions of their receiver value and arguments.
+// admission point, beside the waiting slices Shedder.Shed receives.
+// Like policies, shedders must be deterministic pure functions of their
+// receiver value and arguments, and must not modify either.
 type AdmissionView struct {
 	// Packages is the fleet's replica count.
 	Packages int
@@ -124,8 +125,10 @@ type Shedder interface {
 	// "deadline-aware"); it doubles as the ShedOutcome.Reason.
 	Name() string
 	// Shed reports whether to reject arr given the waiting queue and
-	// the engine view.
-	Shed(arr Queued, queue []Queued, view AdmissionView) bool
+	// the engine view. waiting[c] holds class c's waiting requests in
+	// arrival order, indexed like Config.Classes; the slices are the
+	// engine's own queue, so Shed must not modify them.
+	Shed(arr Queued, waiting [][]Queued, view AdmissionView) bool
 }
 
 // DropTail sheds every arrival while backpressure is engaged — the
@@ -139,7 +142,7 @@ type DropTail struct{}
 func (DropTail) Name() string { return "drop-tail" }
 
 // Shed implements the engaged-mode rule.
-func (DropTail) Shed(_ Queued, _ []Queued, view AdmissionView) bool { return view.Engaged }
+func (DropTail) Shed(_ Queued, _ [][]Queued, view AdmissionView) bool { return view.Engaged }
 
 // DeadlineAware sheds exactly the requests whose queue-implied start
 // already busts a deadline: it estimates the arrival's service start
@@ -162,15 +165,17 @@ type DeadlineAware struct {
 // Name implements Shedder.
 func (DeadlineAware) Name() string { return "deadline-aware" }
 
-// Shed implements the queue-implied-start rule.
-func (d DeadlineAware) Shed(arr Queued, queue []Queued, view AdmissionView) bool {
+// Shed implements the queue-implied-start rule. The backlog is each
+// class's waiting count times its service time, summed in class order:
+// O(classes) per arrival, whatever the queue depth.
+func (d DeadlineAware) Shed(arr Queued, waiting [][]Queued, view AdmissionView) bool {
 	maxWait := view.Classes[arr.Class].MaxWaitSec
 	if math.IsInf(maxWait, 1) {
 		return false // unconstrained class: nothing to bust
 	}
 	var backlogSec float64
-	for _, w := range queue {
-		backlogSec += view.Classes[w.Class].ServiceSec
+	for c, q := range waiting {
+		backlogSec += float64(len(q)) * view.Classes[c].ServiceSec
 	}
 	impliedWait := view.EarliestFreeSec - view.NowSec
 	if impliedWait < 0 {

@@ -2,6 +2,7 @@ package online
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -56,7 +57,7 @@ func TestShedderByName(t *testing.T) {
 
 func TestDropTailFollowsBackpressure(t *testing.T) {
 	arr := Queued{Class: 0, ArrivalSec: 1}
-	q := []Queued{{Class: 0}, {Class: 0}}
+	q := [][]Queued{{{Class: 0}, {Class: 0}}}
 	view := AdmissionView{Packages: 1, Classes: []ShedClassView{{ServiceSec: 1, MaxWaitSec: 0.1}}}
 	if (DropTail{}).Shed(arr, q, view) {
 		t.Error("drop-tail shed while disengaged")
@@ -74,12 +75,12 @@ func TestDeadlineAwareShedUnits(t *testing.T) {
 	}
 	arr := Queued{Class: 0, ArrivalSec: 10}
 	cases := []struct {
-		name  string
-		sh    DeadlineAware
-		arr   Queued
-		queue []Queued
-		view  AdmissionView
-		want  bool
+		name    string
+		sh      DeadlineAware
+		arr     Queued
+		waiting [][]Queued
+		view    AdmissionView
+		want    bool
 	}{
 		{
 			name: "idle fleet, empty queue: admitted",
@@ -94,25 +95,42 @@ func TestDeadlineAwareShedUnits(t *testing.T) {
 			want: true,
 		},
 		{
-			name:  "queue backlog busts the budget",
-			arr:   arr,
-			queue: []Queued{{Class: 0}},
-			view:  AdmissionView{Packages: 1, NowSec: 10, EarliestFreeSec: 10, Classes: classes},
-			want:  true,
+			name:    "queue backlog busts the budget",
+			arr:     arr,
+			waiting: [][]Queued{{{Class: 0}}},
+			view:    AdmissionView{Packages: 1, NowSec: 10, EarliestFreeSec: 10, Classes: classes},
+			want:    true,
 		},
 		{
-			name:  "backlog spread over replicas fits",
-			arr:   Queued{Class: 0, ArrivalSec: 10},
-			queue: []Queued{{Class: 0}}, // 1s of demand over 4 replicas = 0.25s implied wait
-			view:  AdmissionView{Packages: 4, NowSec: 10, EarliestFreeSec: 10, Classes: classes},
-			want:  false,
+			name:    "backlog spread over replicas fits",
+			arr:     Queued{Class: 0, ArrivalSec: 10},
+			waiting: [][]Queued{{{Class: 0}}}, // 1s of demand over 4 replicas = 0.25s implied wait
+			view:    AdmissionView{Packages: 4, NowSec: 10, EarliestFreeSec: 10, Classes: classes},
+			want:    false,
 		},
 		{
-			name:  "unbounded class never shed",
-			arr:   Queued{Class: 1, ArrivalSec: 10},
-			queue: []Queued{{Class: 0}, {Class: 0}, {Class: 1}},
-			view:  AdmissionView{Packages: 1, NowSec: 10, EarliestFreeSec: 99, Classes: classes},
-			want:  false,
+			// 3 x 1s + 2 x 2s = 7s of demand over 14 replicas: an implied
+			// wait of exactly the 0.5s budget still fits.
+			name:    "two-class backlog just inside the budget",
+			arr:     arr,
+			waiting: [][]Queued{{{Class: 0, Seq: 0}, {Class: 0, Seq: 1}, {Class: 0, Seq: 2}}, {{Class: 1, Seq: 0}, {Class: 1, Seq: 1}}},
+			view:    AdmissionView{Packages: 14, NowSec: 10, EarliestFreeSec: 10, Classes: classes},
+			want:    false,
+		},
+		{
+			// The same backlog behind a 1ms in-service residual.
+			name:    "two-class backlog just outside the budget",
+			arr:     arr,
+			waiting: [][]Queued{{{Class: 0, Seq: 0}, {Class: 0, Seq: 1}, {Class: 0, Seq: 2}}, {{Class: 1, Seq: 0}, {Class: 1, Seq: 1}}},
+			view:    AdmissionView{Packages: 14, NowSec: 10, EarliestFreeSec: 10.001, Classes: classes},
+			want:    true,
+		},
+		{
+			name:    "unbounded class never shed",
+			arr:     Queued{Class: 1, ArrivalSec: 10},
+			waiting: [][]Queued{{{Class: 0}, {Class: 0}}, {{Class: 1}}},
+			view:    AdmissionView{Packages: 1, NowSec: 10, EarliestFreeSec: 99, Classes: classes},
+			want:    false,
 		},
 		{
 			name: "margin converts a fit into a shed",
@@ -123,7 +141,7 @@ func TestDeadlineAwareShedUnits(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		if got := tc.sh.Shed(tc.arr, tc.queue, tc.view); got != tc.want {
+		if got := tc.sh.Shed(tc.arr, tc.waiting, tc.view); got != tc.want {
 			t.Errorf("%s: Shed = %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -342,4 +360,34 @@ func TestMaxQueueDepthEdgeCases(t *testing.T) {
 	if got := maxQueueDepth(burst); got != 2 {
 		t.Errorf("maxQueueDepth(burst) = %d, want 2", got)
 	}
+}
+
+// BenchmarkSimulateDeadlineAwareDeep screens deep queues: five rig
+// classes whose only deadline is model 0's one-second frame budget
+// (slack 0), Poisson arrivals at 1.5x the package's capacity and 2,000
+// requests per class, under DeadlineAware{}. Requests queue far behind
+// the head before the budget binds, so each arrival's screening sees a
+// deep backlog.
+func BenchmarkSimulateDeadlineAwareDeep(b *testing.B) {
+	const nClasses = 5
+	classes := make([]Class, nClasses)
+	for ci := range classes {
+		classes[ci] = mustClass(b, fmt.Sprintf("c%d", ci), nil, 0)
+		rate := 1.5 / (nClasses * classes[ci].Metrics.LatencySec)
+		classes[ci].Arrivals = Poisson{RatePerSec: rate, Seed: int64(ci + 1)}
+	}
+	cfg := Config{
+		Classes:             classes,
+		MaxRequestsPerClass: 2000,
+		Admission:           &Admission{Shedder: DeadlineAware{}},
+	}
+	var rep *Report
+	for b.Loop() {
+		var err error
+		if rep, err = Simulate(context.Background(), cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rep.MaxQueueDepth), "max-depth")
+	b.ReportMetric(float64(rep.ShedRequests), "shed")
 }

@@ -422,7 +422,8 @@ func (m *arrivalMerge) pop() (class, seq int, t float64) {
 // head (FIFO: the global head; SwitchAware: the current class's head;
 // EDF: the first request with the minimal deadline). Handing
 // Policy.Pick the heads alone therefore picks the same request in
-// O(classes) instead of O(queue depth).
+// O(classes) instead of O(queue depth), and shedders read the class
+// slices themselves.
 type waiting struct {
 	// class[c] is class c's waiting requests in arrival order: a window
 	// of one buffer whose capacity is the class's arrival count, so a
@@ -432,12 +433,6 @@ type waiting struct {
 	heads []Queued
 	// depth counts the waiting requests.
 	depth int
-	// all is the whole queue in merge order, the view shedders receive,
-	// kept only when keepAll is set (admission control is on).
-	// Arrivals are admitted in merge order, so a push appends to it and
-	// a pop finds its request by binary search.
-	all     []Queued
-	keepAll bool
 }
 
 // mergeOrder is the simulator-wide merge order of queued requests:
@@ -452,18 +447,16 @@ func mergeOrder(a, b Queued) int {
 	return cmp.Compare(a.Seq, b.Seq)
 }
 
-// newWaiting sizes the queue for counts[c] arrivals of class c;
-// keepAll maintains the merged view for shedders.
-func newWaiting(counts []int, keepAll bool) *waiting {
+// newWaiting sizes the queue for counts[c] arrivals of class c.
+func newWaiting(counts []int) *waiting {
 	total := 0
 	for _, n := range counts {
 		total += n
 	}
 	buf := make([]Queued, total)
 	w := &waiting{
-		class:   make([][]Queued, len(counts)),
-		heads:   make([]Queued, 0, len(counts)),
-		keepAll: keepAll,
+		class: make([][]Queued, len(counts)),
+		heads: make([]Queued, 0, len(counts)),
 	}
 	off := 0
 	for c, n := range counts {
@@ -486,9 +479,6 @@ func (w *waiting) push(q Queued) {
 	}
 	w.class[q.Class] = append(w.class[q.Class], q)
 	w.depth++
-	if w.keepAll {
-		w.all = append(w.all, q)
-	}
 }
 
 // pop removes and returns heads[k], promoting its class's next request.
@@ -501,10 +491,6 @@ func (w *waiting) pop(k int) Queued {
 		w.insertHead(rest[0])
 	}
 	w.depth--
-	if w.keepAll {
-		i, _ := slices.BinarySearchFunc(w.all, q, mergeOrder)
-		w.all = slices.Delete(w.all, i, i+1)
-	}
 	return q
 }
 
@@ -675,7 +661,7 @@ func Simulate(ctx context.Context, cfg Config) (*Report, error) {
 	perChecks := make([]int, len(cfg.Classes))
 	perMisses := make([]int, len(cfg.Classes))
 	arrivals := newArrivalMerge(times)
-	queue := newWaiting(counts, adm != nil)
+	queue := newWaiting(counts)
 	var totalWait, totalQueueWait, totalSojourn float64
 	for iter := 0; arrivals.c >= 0 || queue.depth > 0; iter++ {
 		// Poll cancellation every 256 iterations: cheap against the
@@ -739,7 +725,7 @@ func Simulate(ctx context.Context, cfg Config) (*Report, error) {
 						Engaged:         engaged,
 						Classes:         admClasses,
 					}
-					if shedder.Shed(rq, queue.all, view) {
+					if shedder.Shed(rq, queue.class, view) {
 						reason = shedder.Name()
 					}
 				}
@@ -902,10 +888,53 @@ func (rep *Report) finish(cfg Config, totalWait, totalQueueWait, totalSojourn fl
 		}
 	}
 
-	sojourns := make([]float64, n)
-	for i, o := range rep.Outcomes {
-		sojourns[i] = o.SojournSec
+	// Lay the sojourns out by class, each class's window in dispatch
+	// order, so the per-class sums accumulate in dispatch order; then
+	// sort each window for the class percentiles, and the whole buffer
+	// for the global ones.
+	nc := len(cfg.Classes)
+	rep.PerClass = make([]ClassReport, nc)
+	for i := range rep.Outcomes {
+		rep.PerClass[rep.Outcomes[i].Class].Requests++
 	}
+	for _, s := range rep.Shed {
+		rep.PerClass[s.Class].Shed++
+	}
+	next := make([]int, nc)
+	for ci := 1; ci < nc; ci++ {
+		next[ci] = next[ci-1] + rep.PerClass[ci-1].Requests
+	}
+	sojourns := make([]float64, n)
+	for i := range rep.Outcomes {
+		o := &rep.Outcomes[i]
+		sojourns[next[o.Class]] = o.SojournSec
+		next[o.Class]++
+	}
+
+	// Per-class aggregates, in class order; next[ci] now ends class
+	// ci's window. Deadline counters were accumulated in the dispatch
+	// loop under the global membership rule.
+	for ci := range rep.PerClass {
+		cr := &rep.PerClass[ci]
+		cr.Name = cfg.Classes[ci].Name
+		cr.Offered = cr.Requests + cr.Shed
+		cr.DeadlineChecks, cr.DeadlineMisses = perChecks[ci], perMisses[ci]
+		cr.SLAAttainment = 1
+		if cr.DeadlineChecks > 0 {
+			cr.SLAAttainment = 1 - float64(cr.DeadlineMisses)/float64(cr.DeadlineChecks)
+		}
+		if cr.Requests > 0 {
+			cls := sojourns[next[ci]-cr.Requests : next[ci]]
+			var sum float64
+			for _, v := range cls {
+				sum += v
+			}
+			cr.MeanSojourn = sum / float64(cr.Requests)
+			sort.Float64s(cls)
+			cr.P99Sojourn = percentile(cls, 0.99)
+		}
+	}
+
 	sort.Float64s(sojourns)
 	rep.P50LatencySec = percentile(sojourns, 0.50)
 	rep.P95LatencySec = percentile(sojourns, 0.95)
@@ -914,42 +943,6 @@ func (rep *Report) finish(cfg Config, totalWait, totalQueueWait, totalSojourn fl
 		rep.MaxLatencySec = sojourns[n-1]
 	}
 	rep.MaxQueueDepth = maxQueueDepth(rep.Outcomes)
-
-	// Per-class aggregates, in class order. Deadline counters were
-	// accumulated in the dispatch loop under the global membership rule.
-	shedPer := make([]int, len(cfg.Classes))
-	for _, s := range rep.Shed {
-		shedPer[s.Class]++
-	}
-	for ci := range cfg.Classes {
-		cr := ClassReport{
-			Name:           cfg.Classes[ci].Name,
-			Shed:           shedPer[ci],
-			DeadlineChecks: perChecks[ci],
-			DeadlineMisses: perMisses[ci],
-		}
-		var sum float64
-		var cls []float64
-		for _, o := range rep.Outcomes {
-			if o.Class != ci {
-				continue
-			}
-			cr.Requests++
-			sum += o.SojournSec
-			cls = append(cls, o.SojournSec)
-		}
-		cr.Offered = cr.Requests + cr.Shed
-		cr.SLAAttainment = 1
-		if cr.DeadlineChecks > 0 {
-			cr.SLAAttainment = 1 - float64(cr.DeadlineMisses)/float64(cr.DeadlineChecks)
-		}
-		if cr.Requests > 0 {
-			cr.MeanSojourn = sum / float64(cr.Requests)
-			sort.Float64s(cls)
-			cr.P99Sojourn = percentile(cls, 0.99)
-		}
-		rep.PerClass = append(rep.PerClass, cr)
-	}
 
 	if tl != nil {
 		tl.TotalSec = rep.MakespanSec

@@ -6,10 +6,11 @@ import (
 )
 
 // Queued is the policy- and shedder-visible view of one waiting
-// request. The engine hands policies the class heads, and shedders the
-// whole queue, in arrival-merge order — ties broken on (time, class
-// index, sequence), the simulator-wide merge convention — so "first
-// index with property P" is itself a deterministic tie-break.
+// request. The engine hands policies the class heads in arrival-merge
+// order — ties broken on (time, class index, sequence), the
+// simulator-wide merge convention — so "first index with property P" is
+// itself a deterministic tie-break. Shedders get the per-class waiting
+// slices, each in arrival order; neither may modify what it is handed.
 type Queued struct {
 	// Class and Seq identify the request (class index, per-class arrival
 	// sequence number).

@@ -182,7 +182,8 @@ type refPending struct {
 // Simulate's dispatch semantics: it merges every class's arrivals into
 // one slice with a stable sort on (time, class, sequence), keeps one
 // arrival-ordered []Queued that Policy.Pick scans in full and that each
-// dispatch deletes from, hands shedders that whole queue, and sweeps
+// dispatch deletes from, hands shedders that queue split by class (each
+// class's requests in queue order), and sweeps
 // queue depth over one event list sorted with pops before pushes at
 // equal times. Simulate must reproduce it bit-identically on every
 // valid configuration (TestSimulateMatchesQueueReference,
@@ -318,7 +319,7 @@ func referenceQueueSimulate(t testing.TB, cfg Config) *Report {
 						Engaged:         engaged,
 						Classes:         admClasses,
 					}
-					if shedder.Shed(arr, queue, view) {
+					if shedder.Shed(arr, splitByClass(queue, len(cfg.Classes)), view) {
 						reason = shedder.Name()
 					}
 				}
@@ -407,6 +408,15 @@ func referenceQueueSimulate(t testing.TB, cfg Config) *Report {
 	rep.finish(cfg, totalWait, totalQueueWait, totalSojourn, perChecks, perMisses, tl)
 	rep.MaxQueueDepth = referenceMaxQueueDepth(rep.Outcomes)
 	return rep
+}
+
+// splitByClass returns q's requests of each class, in q's order.
+func splitByClass(q []Queued, classes int) [][]Queued {
+	out := make([][]Queued, classes)
+	for _, w := range q {
+		out[w.Class] = append(out[w.Class], w)
+	}
+	return out
 }
 
 // referenceMaxQueueDepth is the event-sort queue-depth sweep: one event
@@ -632,8 +642,8 @@ func queueHeads(q []Queued) []Queued {
 // every built-in policy's pick over the full queue is the head of its
 // class, and the same policy picks that request out of the engine's
 // class heads. Pushes and pops interleave as in the event loop, and
-// after each step the engine's heads and merged shedder view must equal
-// the flat queue's.
+// after each step the engine's heads and per-class waiting slices must
+// equal the flat queue's.
 func TestBuiltinPoliciesPickClassHeads(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	policies := []Policy{FIFO{}, EDF{}}
@@ -647,7 +657,7 @@ func TestBuiltinPoliciesPickClassHeads(t *testing.T) {
 			counts[a.Class]++
 		}
 		for _, pol := range policies {
-			w := newWaiting(counts, true)
+			w := newWaiting(counts)
 			var flat []Queued
 			for pushed := 0; pushed < len(arrivals) || len(flat) > 0; {
 				if pushed < len(arrivals) && (len(flat) == 0 || rng.Intn(2) == 0) {
@@ -670,8 +680,10 @@ func TestBuiltinPoliciesPickClassHeads(t *testing.T) {
 				if !slices.Equal(w.heads, queueHeads(flat)) || w.depth != len(flat) {
 					t.Fatalf("case %d: heads %+v (depth %d), want %+v (queue %+v)", i, w.heads, w.depth, queueHeads(flat), flat)
 				}
-				if !slices.Equal(w.all, flat) {
-					t.Fatalf("case %d: shedder view %+v, want %+v", i, w.all, flat)
+				for c, want := range splitByClass(flat, len(counts)) {
+					if !slices.Equal(w.class[c], want) {
+						t.Fatalf("case %d: class %d waiting %+v, want %+v (queue %+v)", i, c, w.class[c], want, flat)
+					}
 				}
 			}
 		}

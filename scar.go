@@ -166,8 +166,9 @@ type (
 	// bound, low/high watermark backpressure with hysteresis and a
 	// pluggable load shedder (SimConfig.Admission; nil admits all).
 	SimAdmission = online.Admission
-	// SimShedder decides whether an arrival is shed; implementations
-	// must be deterministic pure functions (see SimConfig.Admission).
+	// SimShedder decides whether an arrival is shed from the per-class
+	// waiting slices, which it must not modify; implementations must be
+	// deterministic pure functions (see SimConfig.Admission).
 	SimShedder = online.Shedder
 	// DropTailShedder sheds every arrival while watermark backpressure
 	// is engaged.
