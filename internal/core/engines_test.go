@@ -297,7 +297,7 @@ func TestSampledSegmentationsRespectBounds(t *testing.T) {
 
 func TestRootTuplesInjectiveAndCapped(t *testing.T) {
 	src := newRandSource(1)
-	tuples := rootTuples(9, 3, 20, src)
+	tuples := rootTuples(9, 3, 20, src, new(tupleBuf))
 	if len(tuples) == 0 || len(tuples) > 20 {
 		t.Fatalf("tuples = %d, want 1..20", len(tuples))
 	}
@@ -323,7 +323,7 @@ func TestRootTuplesInjectiveAndCapped(t *testing.T) {
 		}
 		seen[k] = true
 	}
-	if got := rootTuples(2, 3, 10, src); got != nil {
+	if got := rootTuples(2, 3, 10, src, new(tupleBuf)); got != nil {
 		t.Error("arity > chiplets should yield nil")
 	}
 }
@@ -387,7 +387,7 @@ func TestTreeSearchRespectsAdjacencyAndExclusivity(t *testing.T) {
 	evalWin := func(segs []eval.Segment) eval.WindowEval {
 		return comp.WindowEval(scratch, eval.TimeWindow{Segments: segs})
 	}
-	res := treeSearch(nil, evalWin, successors(pkg.AdjacencyMatrix(), false), pkg.NumChiplets(), plans, EDPObjective(), 30, 500, newRandSource(5), nil)
+	res := treeSearch(nil, evalWin, successors(pkg.AdjacencyMatrix(), false), new(tupleBuf), plans, EDPObjective(), 30, 500, newRandSource(5), nil)
 	if !res.found {
 		t.Fatal("tree search found nothing")
 	}

@@ -127,7 +127,7 @@ func TestIncrementalTreeSearchMatchesWindowEval(t *testing.T) {
 			return we
 		}
 		next := successors(adj, free)
-		wantRes := treeSearch(nil, full, next, chiplets, plans, obj, maxTrees, budget,
+		wantRes := treeSearch(nil, full, next, new(tupleBuf), plans, obj, maxTrees, budget,
 			newRandSource(seed), stopAfterLeaves(&want, stopAfter))
 
 		paths := &pathPasses{comp: st.comp}
@@ -140,7 +140,7 @@ func TestIncrementalTreeSearchMatchesWindowEval(t *testing.T) {
 			got = append(got, scoredLeaf{slices.Clone(segs), we})
 			return we
 		}
-		gotRes := treeSearch(paths, incremental, next, chiplets, plans, obj, maxTrees, budget,
+		gotRes := treeSearch(paths, incremental, next, new(tupleBuf), plans, obj, maxTrees, budget,
 			newRandSource(seed), stopAfterLeaves(&got, stopAfter))
 
 		if !reflect.DeepEqual(gotRes, wantRes) {

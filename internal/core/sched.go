@@ -62,9 +62,10 @@ type treeResult struct {
 //
 // The search itself is serial and self-contained — evalWin scores leaf
 // windows (it must not retain the segment slice, which the search
-// rewrites in place), next/chiplets carry the package shape, src is the
-// task's private stream — which is what lets the scheduler fan many
-// tree searches out across workers.
+// rewrites in place), next carries the package shape, src is the task's
+// private stream, roots the worker's root-tuple buffers (no tuple is kept
+// past the return) — which is what lets the scheduler fan many tree
+// searches out across workers.
 //
 // stop (optional) is polled after every leaf evaluation: once it reports
 // true the search unwinds and returns its incumbent with aborted set.
@@ -93,7 +94,7 @@ type treeResult struct {
 // search incrementally, with evalWin keeping the run's counters, context
 // poll and leaf cache.
 func treeSearch(
-	paths *pathPasses, evalWin func(segs []eval.Segment) eval.WindowEval, next [][]int, chiplets int,
+	paths *pathPasses, evalWin func(segs []eval.Segment) eval.WindowEval, next [][]int, roots *tupleBuf,
 	plans []modelPlan, obj Objective, maxTrees, budget int, src *randSource, stop func() bool,
 ) treeResult {
 	ordered := slices.Clone(plans)
@@ -101,7 +102,8 @@ func treeSearch(
 		return cmp.Compare(b.numSegments(), a.numSegments())
 	})
 
-	tuples := rootTuples(chiplets, len(ordered), maxTrees, src)
+	chiplets := len(next)
+	tuples := rootTuples(chiplets, len(ordered), maxTrees, src, roots)
 	if len(tuples) == 0 {
 		return treeResult{}
 	}
@@ -338,12 +340,23 @@ func (t *treeWalk) extend(k, q, cur int) {
 	}
 }
 
+// tupleBuf holds rootTuples' buffers. Each pool worker owns one, reused
+// by every tree search it runs: the tuples of one call are valid only
+// until the next.
+type tupleBuf struct {
+	flat  []int
+	out   [][]int
+	table []int32
+	perm  []int
+}
+
 // rootTuples generates up to maxTrees injective chiplet tuples of the
 // given arity: the canonical ascending tuple first (so small searches are
 // stable) followed by deterministic seeded samples for coverage of the
 // forest. Sampling stops early once every one of the
-// chiplets!/(chiplets-arity)! tuples has been found.
-func rootTuples(chiplets, arity, maxTrees int, src *randSource) [][]int {
+// chiplets!/(chiplets-arity)! tuples has been found. The tuples live in
+// buf, which the next call overwrites.
+func rootTuples(chiplets, arity, maxTrees int, src *randSource, buf *tupleBuf) [][]int {
 	if arity > chiplets || arity == 0 {
 		return nil
 	}
@@ -357,15 +370,19 @@ func rootTuples(chiplets, arity, maxTrees int, src *randSource) [][]int {
 	// slots hold an index into out plus one (0 marks an empty slot). A
 	// tuple's slot is found from its key, which packs it into width-bit
 	// fields; on wide tuples the packing overflows and two tuples can
-	// share a key, so every probe compares the tuples themselves.
+	// share a key, so every probe compares the tuples themselves. Neither
+	// flat nor out outgrows the capacity reserved here, so buf keeps their
+	// backing arrays.
 	n := min(maxTrees, space)
-	flat := make([]int, 0, n*arity)
-	out := make([][]int, 0, n)
+	buf.flat = slices.Grow(buf.flat[:0], n*arity)
+	buf.out = slices.Grow(buf.out[:0], n)
 	tableBits := bits.Len(uint(2*max(n, 1) - 1))
-	table := make([]int32, 1<<tableBits) // n fits: out holds n slices
+	buf.table = slices.Grow(buf.table[:0], 1<<tableBits)[:1<<tableBits] // n fits: out holds n slices
+	buf.perm = slices.Grow(buf.perm[:0], chiplets)[:chiplets]
+	flat, out, table, perm := buf.flat, buf.out, buf.table, buf.perm
+	clear(table)
 	mask := len(table) - 1
 	width := bits.Len(uint(chiplets - 1))
-	perm := make([]int, chiplets)
 	for i := range perm {
 		perm[i] = i
 	}

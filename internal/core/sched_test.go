@@ -75,7 +75,7 @@ func fullTreeSearch(
 	evalWin func([]eval.Segment) eval.WindowEval, adj [][]bool, chiplets int,
 	plans []modelPlan, obj Objective, maxTrees, budget int, src *randSource, free bool, stop func() bool,
 ) treeResult {
-	return treeSearch(nil, evalWin, successors(adj, free), chiplets, plans, obj, maxTrees, budget, src, stop)
+	return treeSearch(nil, evalWin, successors(adj, free), new(tupleBuf), plans, obj, maxTrees, budget, src, stop)
 }
 
 // Property: treeSearch returns the reference DFS's result and scores the
@@ -141,9 +141,10 @@ func TestTreeSearchMatchesReference(t *testing.T) {
 
 // Property: on packages of up to 256 chiplets rootTuples returns the
 // reference's tuples, also when maxTrees exceeds the tuple space and
-// sampling stops early.
+// sampling stops early, with one worker's buffers reused by every call.
 func TestRootTuplesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
+	var buf tupleBuf
 	for trial := 0; trial < 400; trial++ {
 		chiplets := 1 + rng.Intn(40)
 		if trial%10 == 0 {
@@ -152,7 +153,7 @@ func TestRootTuplesMatchReference(t *testing.T) {
 		arity := rng.Intn(min(chiplets, 5) + 1)
 		maxTrees := 1 + rng.Intn(80)
 		seed := rng.Int63()
-		got := rootTuples(chiplets, arity, maxTrees, newRandSource(seed))
+		got := rootTuples(chiplets, arity, maxTrees, newRandSource(seed), &buf)
 		want := referenceRootTuples(chiplets, arity, maxTrees, rand.New(rand.NewSource(seed)))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("rootTuples(%d, %d, %d, seed %d) = %v, want %v", chiplets, arity, maxTrees, seed, got, want)
@@ -165,7 +166,7 @@ func TestRootTuplesMatchReference(t *testing.T) {
 // exactly one tree.
 func TestRootTuplesBeyond256Chiplets(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		tuples := rootTuples(257, 1, 257, newRandSource(seed))
+		tuples := rootTuples(257, 1, 257, newRandSource(seed), new(tupleBuf))
 		if len(tuples) != 257 {
 			t.Fatalf("seed %d: %d tuples, want 257", seed, len(tuples))
 		}

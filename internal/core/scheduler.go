@@ -95,7 +95,8 @@ type CandidateMetrics struct {
 // session Scratch, the tree search's per-path passes, a reusable
 // memo-key buffer, a random source that each task re-seeds with its own
 // derived seed (re-seeding yields the same stream as a fresh source)
-// and a *rand.Rand drawing on it for SEG's samples, the
+// and a *rand.Rand drawing on it for SEG's samples, the root-tuple
+// buffers every tree search on the worker reuses, the
 // count of leaf evaluations the worker was asked for (it paces the
 // context poll) and the count of real leaf evaluations it made (a full
 // WindowEval, or a tree-search leaf combined from its passes). The pool
@@ -107,6 +108,7 @@ type workerState struct {
 	key       []byte
 	src       *randSource
 	rng       *rand.Rand
+	roots     tupleBuf
 	leafEvals int
 	calls     int
 }
@@ -602,7 +604,7 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 			return r.window(worker, leaves, segs, paths)
 		}
 		results[ti] = treeSearch(
-			paths, evalWin, r.next, r.m.NumChiplets(),
+			paths, evalWin, r.next, &ws.roots,
 			t.plans, r.obj, r.opts.MaxTrees, t.budget, ws.src, r.searchStop,
 		)
 	})
