@@ -77,9 +77,11 @@ type Class struct {
 // NewClass assembles a simulator class from a scheduled scenario: it
 // evaluates the schedule on the compiled session, derives per-model
 // deadlines (slackFactor covers models without frame rates), computes the
-// schedule-switch cost and builds the span template for trace emission.
+// schedule-switch cost and builds the span template for trace emission,
+// all three evaluations on one Scratch.
 func NewClass(name string, c *eval.Compiled, sched *eval.Schedule, arr Arrivals, slackFactor float64) (Class, error) {
-	metrics, err := c.Evaluate(c.NewScratch(), sched)
+	s := c.NewScratch()
+	metrics, err := c.Evaluate(s, sched)
 	if err != nil {
 		return Class{}, fmt.Errorf("online: class %s: %w", name, err)
 	}
@@ -88,9 +90,9 @@ func NewClass(name string, c *eval.Compiled, sched *eval.Schedule, arr Arrivals,
 		Scenario:    c.Scenario(),
 		Schedule:    sched,
 		Metrics:     metrics,
-		SwitchInSec: SwitchCost(c, sched),
+		SwitchInSec: SwitchCost(c, s, sched),
 		Deadlines:   DeriveDeadlines(c.Scenario(), metrics, slackFactor),
-		Spans:       trace.Build(c, sched),
+		Spans:       trace.Build(c, s, sched),
 		Arrivals:    arr,
 	}, nil
 }
@@ -122,13 +124,13 @@ func DeriveDeadlines(sc *workload.Scenario, metrics eval.Metrics, slackFactor fl
 // steady state the evaluator overlaps a stage's weight load with the
 // upstream pipeline fill, but when the scenario mix changes the pipeline
 // has drained and the incoming schedule's window-entry weight reload is
-// exposed on the critical path.
-func SwitchCost(c *eval.Compiled, sched *eval.Schedule) float64 {
+// exposed on the critical path. s is the evaluation's Scratch.
+func SwitchCost(c *eval.Compiled, s *eval.Scratch, sched *eval.Schedule) float64 {
 	if len(sched.Windows) == 0 {
 		return 0
 	}
 	var worst float64
-	for _, st := range c.WindowTimings(c.NewScratch(), sched.Windows[0]) {
+	for _, st := range c.WindowTimings(s, sched.Windows[0]) {
 		if st.WeightSec > worst {
 			worst = st.WeightSec
 		}

@@ -42,10 +42,10 @@ type Timeline struct {
 }
 
 // Build evaluates the schedule's windows on the compiled session and lays
-// their stage timings end-to-end on the schedule's absolute time axis.
-func Build(c *eval.Compiled, sched *eval.Schedule) *Timeline {
+// their stage timings end-to-end on the schedule's absolute time axis,
+// on the caller's Scratch for the session.
+func Build(c *eval.Compiled, s *eval.Scratch, sched *eval.Schedule) *Timeline {
 	sc := c.Scenario()
-	s := c.NewScratch()
 	tl := &Timeline{Chiplets: c.MCM().NumChiplets()}
 	var offset float64
 	for wi, w := range sched.Windows {

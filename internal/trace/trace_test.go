@@ -37,7 +37,7 @@ func rig() (*eval.Compiled, *eval.Schedule) {
 
 func TestBuildTimeline(t *testing.T) {
 	c, sched := rig()
-	tl := Build(c, sched)
+	tl := Build(c, c.NewScratch(), sched)
 	if len(tl.Spans) != 3 {
 		t.Fatalf("spans = %d, want 3 (two stages + one)", len(tl.Spans))
 	}
@@ -79,7 +79,7 @@ func TestTimelineMultiWindowOffsets(t *testing.T) {
 		{Index: 0, Segments: []eval.Segment{{Model: 0, First: 0, Last: 1, Chiplet: 0}}},
 		{Index: 1, Segments: []eval.Segment{{Model: 1, First: 0, Last: 0, Chiplet: 0}}},
 	}}
-	tl := Build(c, sched)
+	tl := Build(c, c.NewScratch(), sched)
 	if len(tl.Spans) != 2 {
 		t.Fatalf("spans = %d", len(tl.Spans))
 	}
@@ -92,7 +92,7 @@ func TestTimelineMultiWindowOffsets(t *testing.T) {
 
 func TestGanttRendering(t *testing.T) {
 	c, sched := rig()
-	tl := Build(c, sched)
+	tl := Build(c, c.NewScratch(), sched)
 	out := tl.Gantt(40)
 	if !strings.Contains(out, "c0 ") || !strings.Contains(out, "c8 ") {
 		t.Errorf("Gantt missing chiplet rows:\n%s", out)
@@ -112,7 +112,7 @@ func TestGanttRendering(t *testing.T) {
 
 func TestChromeTraceExport(t *testing.T) {
 	c, sched := rig()
-	tl := Build(c, sched)
+	tl := Build(c, c.NewScratch(), sched)
 	data, err := tl.ChromeTrace()
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestEmptyTimeline(t *testing.T) {
 
 func TestChromeTraceRoundTrip(t *testing.T) {
 	c, sched := rig()
-	tl := Build(c, sched)
+	tl := Build(c, c.NewScratch(), sched)
 	data, err := tl.ChromeTrace()
 	if err != nil {
 		t.Fatal(err)

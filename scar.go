@@ -482,7 +482,7 @@ func (ses *Session) Evaluate(sched *Schedule) (Metrics, error) {
 // consistent with the evaluator's pipeline model. Render it with
 // Timeline.Gantt or export it with Timeline.ChromeTrace.
 func (ses *Session) Timeline(sched *Schedule) *Timeline {
-	return trace.Build(ses.comp, sched)
+	return trace.Build(ses.comp, ses.comp.NewScratch(), sched)
 }
 
 // LinkLoads maps one window's inter-chiplet traffic onto the NoP links
