@@ -367,6 +367,13 @@ type Report struct {
 	Timing *PhaseTimings `json:"timing,omitempty"`
 }
 
+// boundedModel is one deadline-bounded model of a class: its index, its
+// deadline relative to arrival and its latency within the schedule.
+type boundedModel struct {
+	model                   int
+	deadlineSec, latencySec float64
+}
+
 // effectiveDeadline is a queued request's absolute effective deadline
 // (EDF's ordering key): arrival plus the class's tightest relative
 // deadline minDL, +Inf for unconstrained classes.
@@ -627,6 +634,24 @@ func Simulate(ctx context.Context, cfg Config) (*Report, error) {
 		minDL[ci] = cfg.Classes[ci].minDeadlineOffset()
 	}
 
+	// Per-class deadline-bounded models, in ascending model order, each
+	// with its deadline and its latency within the schedule. A Deadlines
+	// key outside the scenario's models bounds nothing.
+	bounded := make([][]boundedModel, len(cfg.Classes))
+	for ci, c := range cfg.Classes {
+		for mi := range c.Scenario.Models {
+			d, ok := c.Deadlines[mi]
+			if !ok {
+				continue
+			}
+			lat, ok := c.Metrics.ModelLatency[mi]
+			if !ok {
+				lat = c.Metrics.LatencySec
+			}
+			bounded[ci] = append(bounded[ci], boundedModel{model: mi, deadlineSec: d, latencySec: lat})
+		}
+	}
+
 	// Admission-control state: the resolved shedder, the per-class
 	// admission constants and the watermark hysteresis flag. All nil/zero
 	// when admission control is off.
@@ -662,6 +687,7 @@ func Simulate(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	perChecks := make([]int, len(cfg.Classes))
 	perMisses := make([]int, len(cfg.Classes))
+	var missed []int
 	arrivals := newArrivalMerge(times)
 	queue := newWaiting(counts)
 	var totalWait, totalQueueWait, totalSojourn float64
@@ -796,27 +822,22 @@ func Simulate(ctx context.Context, cfg Config) (*Report, error) {
 
 		// Deadline scoring: model m completes at start + its pipeline
 		// latency; the deadline counts from request arrival. Per-class
-		// counters accumulate here, under the same membership rule as
-		// the globals, so the two accountings cannot diverge (stray
-		// out-of-range Deadlines keys count in neither).
-		for mi := 0; mi < len(c.Scenario.Models); mi++ {
-			d, ok := c.Deadlines[mi]
-			if !ok {
-				continue
-			}
-			rep.DeadlineChecks++
-			perChecks[rq.Class]++
-			mLat, ok := c.Metrics.ModelLatency[mi]
-			if !ok {
-				mLat = c.Metrics.LatencySec
-			}
-			if start+mLat-rq.ArrivalSec > d {
-				rep.DeadlineMisses++
-				perMisses[rq.Class]++
-				out.MissedModels = append(out.MissedModels, mi)
+		// counters accumulate here, over the same bounded models as the
+		// globals, so the two accountings cannot diverge. Every
+		// outcome's MissedModels is a window of one shared buffer.
+		from := len(missed)
+		for _, b := range bounded[rq.Class] {
+			if start+b.latencySec-rq.ArrivalSec > b.deadlineSec {
+				missed = append(missed, b.model)
 			}
 		}
-		if len(out.MissedModels) == 0 {
+		rep.DeadlineChecks += len(bounded[rq.Class])
+		perChecks[rq.Class] += len(bounded[rq.Class])
+		if n := len(missed) - from; n > 0 {
+			rep.DeadlineMisses += n
+			perMisses[rq.Class] += n
+			out.MissedModels = missed[from:len(missed):len(missed)]
+		} else {
 			rep.RequestsOnTime++
 		}
 
