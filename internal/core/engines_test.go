@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -248,7 +247,7 @@ func TestSegmentCandidatesSortedAndValid(t *testing.T) {
 	})
 	sc := workload.NewScenario("s", model)
 	expLat, expE := db.ExpectedLayers(&sc, pkg)
-	rng := rand.New(rand.NewSource(7))
+	rng := seeded(7)
 	// k = 100 exceeds the 1+4+6 candidates, so every candidate returns.
 	cands := segmentCandidates(model.Batch, layerRange{0, 4}, 3, 100, expLat[0], expE[0], outputBytes(&sc)[0], pkg, EDPObjective(), DefaultOptions(), rng, 7)
 	if len(cands) == 0 {
@@ -270,7 +269,7 @@ func TestSegmentCandidatesSortedAndValid(t *testing.T) {
 }
 
 func TestSampledSegmentationsRespectBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	rng := seeded(3)
 	lat := make([]float64, 120)
 	for i := range lat {
 		lat[i] = float64(1 + i%7)
@@ -296,7 +295,7 @@ func TestSampledSegmentationsRespectBounds(t *testing.T) {
 }
 
 func TestRootTuplesInjectiveAndCapped(t *testing.T) {
-	src := newRandSource(1)
+	src := seeded(1)
 	tuples := rootTuples(9, 3, 20, src, new(tupleBuf))
 	if len(tuples) == 0 || len(tuples) > 20 {
 		t.Fatalf("tuples = %d, want 1..20", len(tuples))
@@ -387,7 +386,7 @@ func TestTreeSearchRespectsAdjacencyAndExclusivity(t *testing.T) {
 	evalWin := func(segs []eval.Segment) eval.WindowEval {
 		return comp.WindowEval(scratch, eval.TimeWindow{Segments: segs})
 	}
-	res := treeSearch(nil, evalWin, successors(pkg.AdjacencyMatrix(), false), new(tupleBuf), plans, EDPObjective(), 30, 500, newRandSource(5), nil)
+	res := treeSearch(nil, evalWin, successors(pkg.AdjacencyMatrix(), false), new(tupleBuf), plans, EDPObjective(), 30, 500, seeded(5), nil)
 	if !res.found {
 		t.Fatal("tree search found nothing")
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"math"
-	"math/rand"
 	"slices"
 
 	"example.com/scar/internal/eval"
@@ -167,7 +166,8 @@ func greedyPath(m intGraph, root, length int, used []bool, seed int) ([]int, boo
 // reports true the run returns its incumbent with stopped set. best is
 // nil when no feasible genome was found.
 func evolve(spans []int, fitness func(genes []int) float64, stop func() bool, seed int64) (best []int, bestFit float64, stopped bool) {
-	rng := rand.New(newRandSource(seed))
+	var rng stream
+	rng.seed(seed)
 	type indiv struct {
 		genes []int
 		fit   float64
@@ -190,12 +190,12 @@ func evolve(spans []int, fitness func(genes []int) float64, stop func() bool, se
 	for len(pop) < gaPopulation && !halt() {
 		g := make([]int, len(spans))
 		for j, n := range spans {
-			g[j] = rng.Intn(n)
+			g[j] = rng.intn(n)
 		}
 		pop = append(pop, score(g))
 	}
 	tournament := func() indiv {
-		a, b := pop[rng.Intn(len(pop))], pop[rng.Intn(len(pop))]
+		a, b := pop[rng.intn(len(pop))], pop[rng.intn(len(pop))]
 		if a.fit <= b.fit {
 			return a
 		}
@@ -208,13 +208,13 @@ func evolve(spans []int, fitness func(genes []int) float64, stop func() bool, se
 			pa, pb := tournament(), tournament()
 			child := make([]int, len(spans))
 			for j := range child {
-				if rng.Intn(2) == 0 {
+				if rng.intn(2) == 0 {
 					child[j] = pa.genes[j]
 				} else {
 					child[j] = pb.genes[j]
 				}
-				if rng.Float64() < gaMutation {
-					child[j] = rng.Intn(spans[j])
+				if rng.float64() < gaMutation {
+					child[j] = rng.intn(spans[j])
 				}
 			}
 			next = append(next, score(child))

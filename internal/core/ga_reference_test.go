@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -84,7 +83,7 @@ func referenceGA(p refProblem, o refOptions) (refResult, error) {
 	if o.Elite >= o.Population {
 		o.Elite = o.Population - 1
 	}
-	rng := rand.New(rand.NewSource(o.Seed))
+	rng := seeded(o.Seed)
 
 	type indiv struct {
 		genes []int
@@ -115,7 +114,7 @@ func referenceGA(p refProblem, o refOptions) (refResult, error) {
 		}
 		g := make([]int, len(p.Bounds))
 		for j, b := range p.Bounds {
-			g[j] = b.Min + rng.Intn(b.span())
+			g[j] = b.Min + rng.intn(b.span())
 		}
 		ind := indiv{genes: g, fit: score(g)}
 		note(ind)
@@ -123,8 +122,8 @@ func referenceGA(p refProblem, o refOptions) (refResult, error) {
 	}
 
 	tournament := func() indiv {
-		a := pop[rng.Intn(len(pop))]
-		b := pop[rng.Intn(len(pop))]
+		a := pop[rng.intn(len(pop))]
+		b := pop[rng.intn(len(pop))]
 		if a.fit <= b.fit {
 			return a
 		}
@@ -146,14 +145,14 @@ generations:
 			pa, pb := tournament(), tournament()
 			child := make([]int, len(p.Bounds))
 			for j := range child {
-				if rng.Intn(2) == 0 {
+				if rng.intn(2) == 0 {
 					child[j] = pa.genes[j]
 				} else {
 					child[j] = pb.genes[j]
 				}
-				if rng.Float64() < o.MutationRate {
+				if rng.float64() < o.MutationRate {
 					b := p.Bounds[j]
-					child[j] = b.Min + rng.Intn(b.span())
+					child[j] = b.Min + rng.intn(b.span())
 				}
 			}
 			ind := indiv{genes: child, fit: score(child)}

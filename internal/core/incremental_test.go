@@ -128,7 +128,7 @@ func TestIncrementalTreeSearchMatchesWindowEval(t *testing.T) {
 		}
 		next := successors(adj, free)
 		wantRes := treeSearch(nil, full, next, new(tupleBuf), plans, obj, maxTrees, budget,
-			newRandSource(seed), stopAfterLeaves(&want, stopAfter))
+			seeded(seed), stopAfterLeaves(&want, stopAfter))
 
 		paths := &pathPasses{comp: st.comp}
 		var got []scoredLeaf
@@ -141,7 +141,7 @@ func TestIncrementalTreeSearchMatchesWindowEval(t *testing.T) {
 			return we
 		}
 		gotRes := treeSearch(paths, incremental, next, new(tupleBuf), plans, obj, maxTrees, budget,
-			newRandSource(seed), stopAfterLeaves(&got, stopAfter))
+			seeded(seed), stopAfterLeaves(&got, stopAfter))
 
 		if !reflect.DeepEqual(gotRes, wantRes) {
 			t.Fatalf("%s: result %+v, want %+v", label, gotRes, wantRes)

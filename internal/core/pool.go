@@ -99,22 +99,3 @@ recruit:
 	work(self)
 	wg.Wait()
 }
-
-// mixSeed derives a child RNG seed from a base seed and a salt path with
-// splitmix64 finalization rounds. Sibling search tasks draw their own
-// streams from their (candidate, window, alloc, combo) coordinates
-// instead of sharing one *rand.Rand, which is what keeps parallel and
-// serial runs bit-identical: the stream a task sees no longer depends on
-// how many draws its predecessors made.
-func mixSeed(base int64, salts ...int64) int64 {
-	z := uint64(base) + 0x9e3779b97f4a7c15
-	for _, s := range salts {
-		z += uint64(s)*0xbf58476d1ce4e5b9 + 0x9e3779b97f4a7c15
-		z ^= z >> 30
-		z *= 0xbf58476d1ce4e5b9
-		z ^= z >> 27
-		z *= 0x94d049bb133111eb
-		z ^= z >> 31
-	}
-	return int64(z)
-}

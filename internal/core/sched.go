@@ -62,7 +62,7 @@ type treeResult struct {
 //
 // The search itself is serial and self-contained — evalWin scores leaf
 // windows (it must not retain the segment slice, which the search
-// rewrites in place), next carries the package shape, src is the task's
+// rewrites in place), next carries the package shape, rng is the task's
 // private stream, roots the worker's root-tuple buffers (no tuple is kept
 // past the return) — which is what lets the scheduler fan many tree
 // searches out across workers.
@@ -95,7 +95,7 @@ type treeResult struct {
 // poll and leaf cache.
 func treeSearch(
 	paths *pathPasses, evalWin func(segs []eval.Segment) eval.WindowEval, next [][]int, roots *tupleBuf,
-	plans []modelPlan, obj Objective, maxTrees, budget int, src *randSource, stop func() bool,
+	plans []modelPlan, obj Objective, maxTrees, budget int, rng *stream, stop func() bool,
 ) treeResult {
 	ordered := slices.Clone(plans)
 	slices.SortStableFunc(ordered, func(a, b modelPlan) int {
@@ -103,7 +103,7 @@ func treeSearch(
 	})
 
 	chiplets := len(next)
-	tuples := rootTuples(chiplets, len(ordered), maxTrees, src, roots)
+	tuples := rootTuples(chiplets, len(ordered), maxTrees, rng, roots)
 	if len(tuples) == 0 {
 		return treeResult{}
 	}
@@ -356,7 +356,7 @@ type tupleBuf struct {
 // forest. Sampling stops early once every one of the
 // chiplets!/(chiplets-arity)! tuples has been found. The tuples live in
 // buf, which the next call overwrites.
-func rootTuples(chiplets, arity, maxTrees int, src *randSource, buf *tupleBuf) [][]int {
+func rootTuples(chiplets, arity, maxTrees int, rng *stream, buf *tupleBuf) [][]int {
 	if arity > chiplets || arity == 0 {
 		return nil
 	}
@@ -410,6 +410,6 @@ func rootTuples(chiplets, arity, maxTrees int, src *randSource, buf *tupleBuf) [
 		for i := range perm {
 			perm[i] = i
 		}
-		src.shuffle(perm)
+		rng.shuffle(perm)
 	}
 }

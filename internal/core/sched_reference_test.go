@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 
 	"example.com/scar/internal/eval"
@@ -35,7 +34,7 @@ func referenceSegmentsFor(p modelPlan, path []int) []eval.Segment {
 // referenceTreeSearch has treeSearch's contract and is its reference.
 func referenceTreeSearch(
 	evalWin func(segs []eval.Segment) eval.WindowEval, adj [][]bool, chiplets int,
-	plans []modelPlan, obj Objective, maxTrees, budget int, rng *rand.Rand, freePlacement bool,
+	plans []modelPlan, obj Objective, maxTrees, budget int, rng *stream, freePlacement bool,
 	stop func() bool,
 ) treeResult {
 	ordered := make([]modelPlan, len(plans))
@@ -119,7 +118,7 @@ func referenceTreeSearch(
 // referenceRootTuples is rootTuples' reference. Its dedup key keeps one
 // byte per chiplet ID, so it only agrees with rootTuples on packages of
 // at most 256 chiplets.
-func referenceRootTuples(chiplets, arity, maxTrees int, rng *rand.Rand) [][]int {
+func referenceRootTuples(chiplets, arity, maxTrees int, rng *stream) [][]int {
 	if arity > chiplets || arity == 0 {
 		return nil
 	}
@@ -150,7 +149,10 @@ func referenceRootTuples(chiplets, arity, maxTrees int, rng *rand.Rand) [][]int 
 		for i := range perm {
 			perm[i] = i
 		}
-		rng.Shuffle(chiplets, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		for i := chiplets - 1; i > 0; i-- {
+			j := rng.intn(i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
 		t := append([]int(nil), perm[:arity]...)
 		add(t)
 	}

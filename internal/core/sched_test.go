@@ -52,9 +52,9 @@ func randomPlans(rng *rand.Rand, maxModels, maxSegs int) []modelPlan {
 // treeSearchRecorder runs one tree search on the random stream rng with
 // a recording fake evaluator and a stop check that fires on the
 // stopAfter-th leaf (never when stopAfter is 0).
-func treeSearchRecorder[R any](
-	search func(func([]eval.Segment) eval.WindowEval, [][]bool, int, []modelPlan, Objective, int, int, R, bool, func() bool) treeResult,
-	salt uint64, adj [][]bool, plans []modelPlan, obj Objective, maxTrees, budget int, rng R, free bool, stopAfter int,
+func treeSearchRecorder(
+	search func(func([]eval.Segment) eval.WindowEval, [][]bool, int, []modelPlan, Objective, int, int, *stream, bool, func() bool) treeResult,
+	salt uint64, adj [][]bool, plans []modelPlan, obj Objective, maxTrees, budget int, rng *stream, free bool, stopAfter int,
 ) (treeResult, [][]eval.Segment) {
 	var seen [][]eval.Segment
 	evalWin := func(segs []eval.Segment) eval.WindowEval {
@@ -70,12 +70,12 @@ func treeSearchRecorder[R any](
 }
 
 // fullTreeSearch is treeSearch scoring every leaf in full, in the
-// reference's signature but for the random source.
+// reference's signature.
 func fullTreeSearch(
 	evalWin func([]eval.Segment) eval.WindowEval, adj [][]bool, chiplets int,
-	plans []modelPlan, obj Objective, maxTrees, budget int, src *randSource, free bool, stop func() bool,
+	plans []modelPlan, obj Objective, maxTrees, budget int, rng *stream, free bool, stop func() bool,
 ) treeResult {
-	return treeSearch(nil, evalWin, successors(adj, free), new(tupleBuf), plans, obj, maxTrees, budget, src, stop)
+	return treeSearch(nil, evalWin, successors(adj, free), new(tupleBuf), plans, obj, maxTrees, budget, rng, stop)
 }
 
 // Property: treeSearch returns the reference DFS's result and scores the
@@ -126,8 +126,8 @@ func TestTreeSearchMatchesReference(t *testing.T) {
 		seed := rng.Int63()
 		salt := rng.Uint64()
 
-		want, wantSeen := treeSearchRecorder(referenceTreeSearch, salt, adj, plans, obj, maxTrees, budget, rand.New(rand.NewSource(seed)), free, stopAfter)
-		got, gotSeen := treeSearchRecorder(fullTreeSearch, salt, adj, plans, obj, maxTrees, budget, newRandSource(seed), free, stopAfter)
+		want, wantSeen := treeSearchRecorder(referenceTreeSearch, salt, adj, plans, obj, maxTrees, budget, seeded(seed), free, stopAfter)
+		got, gotSeen := treeSearchRecorder(fullTreeSearch, salt, adj, plans, obj, maxTrees, budget, seeded(seed), free, stopAfter)
 		label := fmt.Sprintf("trial %d (%s, %d plans, maxTrees %d, budget %d, free %v, stop after %d)",
 			trial, pkg.Name, len(plans), maxTrees, budget, free, stopAfter)
 		if !reflect.DeepEqual(got, want) {
@@ -153,8 +153,8 @@ func TestRootTuplesMatchReference(t *testing.T) {
 		arity := rng.Intn(min(chiplets, 5) + 1)
 		maxTrees := 1 + rng.Intn(80)
 		seed := rng.Int63()
-		got := rootTuples(chiplets, arity, maxTrees, newRandSource(seed), &buf)
-		want := referenceRootTuples(chiplets, arity, maxTrees, rand.New(rand.NewSource(seed)))
+		got := rootTuples(chiplets, arity, maxTrees, seeded(seed), &buf)
+		want := referenceRootTuples(chiplets, arity, maxTrees, seeded(seed))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("rootTuples(%d, %d, %d, seed %d) = %v, want %v", chiplets, arity, maxTrees, seed, got, want)
 		}
@@ -166,7 +166,7 @@ func TestRootTuplesMatchReference(t *testing.T) {
 // exactly one tree.
 func TestRootTuplesBeyond256Chiplets(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		tuples := rootTuples(257, 1, 257, newRandSource(seed), new(tupleBuf))
+		tuples := rootTuples(257, 1, 257, seeded(seed), new(tupleBuf))
 		if len(tuples) != 257 {
 			t.Fatalf("seed %d: %d tuples, want 257", seed, len(tuples))
 		}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -93,10 +92,10 @@ type CandidateMetrics struct {
 
 // workerState is one pool worker's private evaluation state: a compiled-
 // session Scratch, the tree search's per-path passes, a reusable
-// memo-key buffer, a random source that each task re-seeds with its own
-// derived seed (re-seeding yields the same stream as a fresh source)
-// and a *rand.Rand drawing on it for SEG's samples, the root-tuple
-// buffers every tree search on the worker reuses, the
+// memo-key buffer, one random stream that every task and every SEG call
+// on the worker reseeds with its own derived seed (a reseeded stream is a
+// fresh one), the root-tuple buffers every tree search on the worker
+// reuses, the
 // count of leaf evaluations the worker was asked for (it paces the
 // context poll) and the count of real leaf evaluations it made (a full
 // WindowEval, or a tree-search leaf combined from its passes). The pool
@@ -106,8 +105,7 @@ type workerState struct {
 	scratch   *eval.Scratch
 	paths     pathPasses
 	key       []byte
-	src       *randSource
-	rng       *rand.Rand
+	rng       stream
 	roots     tupleBuf
 	leafEvals int
 	calls     int
@@ -192,8 +190,6 @@ func (s *Scheduler) newRun(ctx context.Context, req *Request, opts Options) *run
 	for i := range r.workers {
 		r.workers[i].scratch = r.comp.NewScratch()
 		r.workers[i].paths.comp = r.comp
-		r.workers[i].src = new(randSource)
-		r.workers[i].rng = rand.New(r.workers[i].src)
 	}
 	return r
 }
@@ -559,7 +555,7 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 	// SEG + SCHED task construction stays serial (it is cheap relative
 	// to the tree searches); every task carries its own derived seed.
 	var tasks []comboTask
-	segRng := r.workers[self].rng
+	segRng := &r.workers[self].rng
 	for ai, alloc := range allocOptions {
 		// SEG: top-k segmentation candidates per model (Heuristic 1).
 		topk := make([][]segCandidate, len(active))
@@ -598,14 +594,14 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 	r.pool.forEach(self, len(tasks), func(worker, ti int) {
 		t := tasks[ti]
 		ws := &r.workers[worker]
-		ws.src.Seed(t.seed)
+		ws.rng.seed(t.seed)
 		paths := &ws.paths
 		evalWin := func(segs []eval.Segment) eval.WindowEval {
 			return r.window(worker, leaves, segs, paths)
 		}
 		results[ti] = treeSearch(
 			paths, evalWin, r.next, &ws.roots,
-			t.plans, r.obj, r.opts.MaxTrees, t.budget, ws.src, r.searchStop,
+			t.plans, r.obj, r.opts.MaxTrees, t.budget, &ws.rng, r.searchStop,
 		)
 	})
 	var out windowOutcome

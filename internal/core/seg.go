@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"math/rand"
 	"slices"
 
 	"example.com/scar/internal/mcm"
@@ -41,7 +40,7 @@ func (c segCandidate) numSegments() int { return len(c.ends) }
 func segmentCandidates(
 	batch int, r layerRange, maxSegs, k int,
 	expLat, expEnergy, outBytes []float64, // per-layer, window-relative is [r.First..r.Last]
-	m *mcm.MCM, obj Objective, opts Options, rng *rand.Rand, seed int64,
+	m *mcm.MCM, obj Objective, opts Options, rng *stream, seed int64,
 ) []segCandidate {
 	l := r.numLayers()
 	if maxSegs > l {
@@ -71,7 +70,7 @@ func segmentCandidates(
 	if enumerate {
 		enumerateSegmentations(l, maxSegs, offer)
 	} else {
-		rng.Seed(seed)
+		rng.seed(seed)
 		sampledSegmentations(l, maxSegs, lat, opts.SegSamples, rng, offer)
 	}
 	return top.kept
@@ -180,7 +179,7 @@ func enumerateSegmentations(l, maxSegs int, visit func(ends []int)) {
 // sampledSegmentations visits cost-balanced splits for each segment
 // count, then random cut sets drawn from rng. It visits repeats too;
 // segTopK drops them. visit must not retain the vector.
-func sampledSegmentations(l, maxSegs int, lat []float64, samples int, rng *rand.Rand, visit func(ends []int)) {
+func sampledSegmentations(l, maxSegs int, lat []float64, samples int, rng *stream, visit func(ends []int)) {
 	var total float64
 	for _, v := range lat {
 		total += v
@@ -211,10 +210,10 @@ func sampledSegmentations(l, maxSegs int, lat []float64, samples int, rng *rand.
 	}
 	for i := 0; i < samples; i++ {
 		// s-1 distinct random cuts, drawn until that many are distinct.
-		s := 1 + rng.Intn(maxSegs)
+		s := 1 + rng.intn(maxSegs)
 		ends = ends[:0]
 		for len(ends) < s-1 {
-			if c := rng.Intn(l - 1); !slices.Contains(ends, c) {
+			if c := rng.intn(l - 1); !slices.Contains(ends, c) {
 				ends = append(ends, c)
 			}
 		}

@@ -26,9 +26,9 @@ import (
 func referenceSegmentCandidates(
 	batch int, r layerRange, maxSegs, k int,
 	expLat, expEnergy, outBytes []float64,
-	m *mcm.MCM, obj Objective, opts Options, rng *rand.Rand, seed int64,
+	m *mcm.MCM, obj Objective, opts Options, rng *stream, seed int64,
 ) []segCandidate {
-	rng.Seed(seed)
+	rng.seed(seed)
 	l := r.numLayers()
 	if maxSegs > l {
 		maxSegs = l
@@ -79,7 +79,7 @@ func referenceEnumerateSegmentations(l, maxSegs int) [][]int {
 
 // referenceSampledSegmentations produces the cost-balanced splits and the
 // random cut sets, deduplicated through a map in first-seen order.
-func referenceSampledSegmentations(l, maxSegs int, lat []float64, samples int, rng *rand.Rand) [][]int {
+func referenceSampledSegmentations(l, maxSegs int, lat []float64, samples int, rng *stream) [][]int {
 	seen := map[string]bool{}
 	var out [][]int
 	add := func(ends []int) {
@@ -114,10 +114,10 @@ func referenceSampledSegmentations(l, maxSegs int, lat []float64, samples int, r
 		add(append(ends, l-1))
 	}
 	for i := 0; i < samples; i++ {
-		s := 1 + rng.Intn(maxSegs)
+		s := 1 + rng.intn(maxSegs)
 		var ends []int
 		for len(ends) < s-1 {
-			if c := rng.Intn(l - 1); !slices.Contains(ends, c) {
+			if c := rng.intn(l - 1); !slices.Contains(ends, c) {
 				ends = append(ends, c)
 			}
 		}
@@ -210,7 +210,7 @@ func TestSegReference(t *testing.T) {
 		r := layerRange{First: offset, Last: offset + l - 1}
 		seed, pre := rng.Int63(), rng.Int63()
 
-		refRng, gotRng := rand.New(rand.NewSource(pre)), rand.New(rand.NewSource(pre))
+		refRng, gotRng := seeded(pre), seeded(pre)
 		want := referenceSegmentCandidates(batch, r, maxSegs, k, lat, eng, out, pkg, obj, opts, refRng, seed)
 		got := segmentCandidates(batch, r, maxSegs, k, lat, eng, out, pkg, obj, opts, gotRng, seed)
 
@@ -228,11 +228,11 @@ func TestSegReference(t *testing.T) {
 		}
 		// The next draw shows the stream position: the same as the
 		// reference's after sampling, the caller's own after enumerating.
-		wantNext := refRng.Int63()
+		wantNext := refRng.next()
 		if enumerated {
-			wantNext = rand.New(rand.NewSource(pre)).Int63()
+			wantNext = seeded(pre).next()
 		}
-		if gotNext := gotRng.Int63(); gotNext != wantNext {
+		if gotNext := gotRng.next(); gotNext != wantNext {
 			t.Fatalf("%s: next draw %d, want %d", label, gotNext, wantNext)
 		}
 	}
