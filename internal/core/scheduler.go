@@ -127,6 +127,7 @@ type run struct {
 	expLat  [][]float64
 	expE    [][]float64
 	outB    [][]float64 // per-layer output bytes at the model's batch
+	weightB [][]float64 // per-layer weight bytes
 	adj     [][]bool
 	next    [][]int // per-chiplet tree-search successors (see successors)
 	pool    *pool
@@ -183,7 +184,7 @@ func (s *Scheduler) newRun(ctx context.Context, req *Request, opts Options) *run
 		bestScore: math.Inf(1),
 	}
 	r.expLat, r.expE = s.db.ExpectedLayers(req.Scenario, req.MCM)
-	r.outB = outputBytes(req.Scenario)
+	r.outB, r.weightB = layerBytes(req.Scenario)
 	r.next = successors(r.adj, opts.FreePlacement)
 	r.deadline, _ = ctx.Deadline()
 	r.workers = make([]workerState, r.pool.NWorkers())
@@ -562,7 +563,7 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 		for i, mi := range active {
 			topk[i] = segmentCandidates(
 				r.sc.Models[mi].Batch, w[mi], alloc[i], r.opts.TopKSeg,
-				r.expLat[mi], r.expE[mi], r.outB[mi],
+				r.expLat[mi], r.expE[mi], r.outB[mi], r.weightB[mi],
 				r.m, r.obj, r.opts, segRng, mixSeed(seed, 1, int64(ai), int64(i)),
 			)
 		}

@@ -39,7 +39,7 @@ func (c segCandidate) numSegments() int { return len(c.ends) }
 // candidates are copied.
 func segmentCandidates(
 	batch int, r layerRange, maxSegs, k int,
-	expLat, expEnergy, outBytes []float64, // per-layer, window-relative is [r.First..r.Last]
+	expLat, expEnergy, outBytes, weightBytes []float64, // per-layer, window-relative is [r.First..r.Last]
 	m *mcm.MCM, obj Objective, opts Options, rng *stream, seed int64,
 ) []segCandidate {
 	l := r.numLayers()
@@ -52,6 +52,7 @@ func segmentCandidates(
 
 	lat := expLat[r.First : r.Last+1]
 	xfer := outBytes[r.First : r.Last+1]
+	weights := weightBytes[r.First : r.Last+1]
 	var energy float64
 	for _, e := range expEnergy[r.First : r.Last+1] {
 		energy += e
@@ -65,7 +66,7 @@ func segmentCandidates(
 	}
 	top := newSegTopK(min(k, space), maxSegs)
 	offer := func(ends []int) {
-		top.offer(ends, scoreSegmentation(batch, ends, lat, energy, xfer, m, obj))
+		top.offer(ends, scoreSegmentation(batch, ends, lat, energy, xfer, weights, m, obj))
 	}
 	if enumerate {
 		enumerateSegmentations(l, maxSegs, offer)
@@ -223,51 +224,58 @@ func sampledSegmentations(l, maxSegs int, lat []float64, samples int, rng *strea
 }
 
 // scoreSegmentation is Heuristic 1's independent per-model proxy: a
-// pipeline estimate over expected (dataflow-averaged) costs. Stage
-// latencies are the per-segment expected sums; the pipeline bottleneck
-// dominates at high batch while the fill time dominates at batch 1; each
-// cut adds a NoP transfer of the boundary activation, whose size the
-// window-relative outBytes holds per layer. energy is the window's
-// expected energy, the same for every candidate.
+// pipeline estimate over expected (dataflow-averaged) costs, in the
+// fill-and-drain shape of the evaluator's model pass. Stage latencies are
+// the per-segment expected sums, and a stage's pass takes its latency
+// over the batch. The first pass fills the pipeline: a stage starts it
+// once its input has arrived and its own weights are loaded from DRAM,
+// so upstream passes hide a later stage's load. The bottleneck then
+// repeats for the other passes: it dominates at high batch, the fill at
+// batch 1, where cutting a weight-heavy model is what overlaps its
+// weight loads. Each cut adds a NoP transfer of the boundary activation,
+// whose size the window-relative outBytes holds per layer; weightBytes
+// holds each layer's weight size. energy is the window's expected
+// energy, the same for every candidate.
 func scoreSegmentation(
 	modelBatch int, ends []int,
-	lat []float64, energy float64, outBytes []float64, m *mcm.MCM, obj Objective,
+	lat []float64, energy float64, outBytes, weightBytes []float64, m *mcm.MCM, obj Objective,
 ) float64 {
 	batch := float64(modelBatch)
-	var sumStages, maxStage, xferLat, xferPJ float64
+	var fill, maxStage, xferPJ float64
 	start := 0
 	for _, end := range ends {
-		var stage float64
+		var stage, weights float64
 		for i := start; i <= end; i++ {
 			stage += lat[i]
+			weights += weightBytes[i]
 		}
-		sumStages += stage
-		if stage > maxStage {
-			maxStage = stage
-		}
+		fill = max(fill, weights/m.OffchipBandwidth) + stage/batch
+		maxStage = max(maxStage, stage)
 		if end < len(lat)-1 {
 			bytes := outBytes[end]
-			xferLat += bytes/m.NoPBandwidth + m.NoPHopLatency
+			fill += bytes/m.NoPBandwidth + m.NoPHopLatency
 			xferPJ += bytes * m.NoPEnergyPerByte
 		}
 		start = end + 1
 	}
-	// Pipeline proxy: fill with the full sum once, then the bottleneck
-	// amortized over the batch.
-	pipeLat := maxStage + (sumStages-maxStage)/batch + xferLat
+	pipeLat := fill + (batch-1)*maxStage/batch
 	return obj.proxy(pipeLat, energy+xferPJ)
 }
 
-// outputBytes tabulates every layer's output activation size at its
-// model's batch, as float64, once per run: the SEG proxy charges one for
-// every cut of every candidate it scores.
-func outputBytes(sc *workload.Scenario) [][]float64 {
-	out := make([][]float64, len(sc.Models))
+// layerBytes tabulates every layer's output activation size at its
+// model's batch and its weight size, as float64, once per run: the SEG
+// proxy charges an output for every cut and the weights of every stage
+// of every candidate it scores.
+func layerBytes(sc *workload.Scenario) (out, weights [][]float64) {
+	out = make([][]float64, len(sc.Models))
+	weights = make([][]float64, len(sc.Models))
 	for mi, model := range sc.Models {
 		out[mi] = make([]float64, len(model.Layers))
+		weights[mi] = make([]float64, len(model.Layers))
 		for li, l := range model.Layers {
 			out[mi][li] = float64(l.WithBatch(model.Batch).OutputBytes())
+			weights[mi][li] = float64(l.WeightBytes())
 		}
 	}
-	return out
+	return out, weights
 }

@@ -25,7 +25,7 @@ import (
 // the enumerated branch draws.
 func referenceSegmentCandidates(
 	batch int, r layerRange, maxSegs, k int,
-	expLat, expEnergy, outBytes []float64,
+	expLat, expEnergy, outBytes, weightBytes []float64,
 	m *mcm.MCM, obj Objective, opts Options, rng *stream, seed int64,
 ) []segCandidate {
 	rng.seed(seed)
@@ -39,6 +39,7 @@ func referenceSegmentCandidates(
 	lat := expLat[r.First : r.Last+1]
 	eng := expEnergy[r.First : r.Last+1]
 	xfer := outBytes[r.First : r.Last+1]
+	wgt := weightBytes[r.First : r.Last+1]
 
 	var cands [][]int
 	if segSpaceSize(l, maxSegs, opts.SegEnumLimit) <= opts.SegEnumLimit {
@@ -48,7 +49,7 @@ func referenceSegmentCandidates(
 	}
 	out := make([]segCandidate, 0, len(cands))
 	for _, ends := range cands {
-		out = append(out, segCandidate{ends: ends, score: referenceScoreSegmentation(batch, ends, lat, eng, xfer, m, obj)})
+		out = append(out, segCandidate{ends: ends, score: referenceScoreSegmentation(batch, ends, lat, eng, xfer, wgt, m, obj)})
 	}
 	slices.SortStableFunc(out, func(a, b segCandidate) int { return cmp.Compare(a.score, b.score) })
 	return out[:min(k, len(out))]
@@ -131,28 +132,36 @@ func referenceSampledSegmentations(l, maxSegs int, lat []float64, samples int, r
 // summed inside, once per candidate.
 func referenceScoreSegmentation(
 	modelBatch int, ends []int,
-	lat, eng, outBytes []float64, m *mcm.MCM, obj Objective,
+	lat, eng, outBytes, weightBytes []float64, m *mcm.MCM, obj Objective,
 ) float64 {
 	batch := float64(modelBatch)
-	var sumStages, maxStage, xferLat, xferPJ float64
+	// Stage sums first, then the fill-and-drain recurrence over them.
+	var stages, loads, xfers []float64
+	var xferPJ float64
 	start := 0
 	for _, end := range ends {
-		var stage float64
+		var stage, weights float64
 		for i := start; i <= end; i++ {
 			stage += lat[i]
+			weights += weightBytes[i]
 		}
-		sumStages += stage
-		if stage > maxStage {
-			maxStage = stage
-		}
+		stages = append(stages, stage)
+		loads = append(loads, weights/m.OffchipBandwidth)
 		if end < len(lat)-1 {
 			bytes := outBytes[end]
-			xferLat += bytes/m.NoPBandwidth + m.NoPHopLatency
+			xfers = append(xfers, bytes/m.NoPBandwidth+m.NoPHopLatency)
 			xferPJ += bytes * m.NoPEnergyPerByte
 		}
 		start = end + 1
 	}
-	pipeLat := maxStage + (sumStages-maxStage)/batch + xferLat
+	var fill float64
+	for q, stage := range stages {
+		fill = math.Max(fill, loads[q]) + stage/batch
+		if q < len(xfers) {
+			fill += xfers[q]
+		}
+	}
+	pipeLat := fill + (batch-1)*slices.Max(stages)/batch
 	var totalPJ float64
 	for _, e := range eng {
 		totalPJ += e
@@ -186,15 +195,18 @@ func TestSegReference(t *testing.T) {
 		lat := make([]float64, n)
 		eng := make([]float64, n)
 		out := make([]float64, n)
+		wgt := make([]float64, n)
 		for i := range lat {
 			if kind == 0 { // continuous costs
 				lat[i] = rng.Float64() * 1e-3
 				eng[i] = rng.Float64() * 1e6
 				out[i] = float64(rng.Intn(1 << 20))
-			} else { // tie-heavy integer costs
+				wgt[i] = float64(rng.Intn(1 << 26))
+			} else { // tie-heavy integer costs; loads of whole seconds
 				lat[i] = float64(1 + rng.Intn(3))
 				eng[i] = float64(1 + rng.Intn(3))
 				out[i] = float64(rng.Intn(2) * 4096)
+				wgt[i] = float64(rng.Intn(3)) * pkg.OffchipBandwidth
 			}
 		}
 		opts := DefaultOptions()
@@ -211,8 +223,8 @@ func TestSegReference(t *testing.T) {
 		seed, pre := rng.Int63(), rng.Int63()
 
 		refRng, gotRng := seeded(pre), seeded(pre)
-		want := referenceSegmentCandidates(batch, r, maxSegs, k, lat, eng, out, pkg, obj, opts, refRng, seed)
-		got := segmentCandidates(batch, r, maxSegs, k, lat, eng, out, pkg, obj, opts, gotRng, seed)
+		want := referenceSegmentCandidates(batch, r, maxSegs, k, lat, eng, out, wgt, pkg, obj, opts, refRng, seed)
+		got := segmentCandidates(batch, r, maxSegs, k, lat, eng, out, wgt, pkg, obj, opts, gotRng, seed)
 
 		enumerated := segSpaceSize(l, min(maxSegs, l), opts.SegEnumLimit) <= opts.SegEnumLimit
 		branches[enumerated]++
