@@ -84,9 +84,9 @@ func goldenDigest(res *scar.Result) string {
 // deadline.
 func TestSessionAPIGolden(t *testing.T) {
 	want := map[int]string{
-		1: "5ffaeaae48c5a16a",
-		6: "7be865f1b512a483",
-		9: "25472bd4eec39910",
+		1: "ea724a1d852627ad",
+		6: "9237859509586ffc",
+		9: "a0004c4d0711a956",
 	}
 	sched := scar.NewScheduler(scar.FastOptions())
 	for _, n := range []int{1, 6, 9} {

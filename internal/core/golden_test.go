@@ -123,59 +123,59 @@ func goldenCases() []goldenCase {
 		return func(spec maestro.Chiplet) (*mcm.MCM, error) { return mcm.ByName(name, w, w, spec) }
 	}
 	return []goldenCase{
-		{name: "brute/sc1/het-sides/latency", scenario: 1, pkg: pattern("het-sides", 3), obj: "latency", want: "4906e30cf44a5cc1"},
-		{name: "brute/sc1/het-sides/energy", scenario: 1, pkg: pattern("het-sides", 3), obj: "energy", want: "c8abaf990c91fad0"},
-		{name: "brute/sc1/het-sides/edp", scenario: 1, pkg: pattern("het-sides", 3), obj: "edp", want: "9ba09e753e44d83c"},
-		{name: "brute/sc1/het-cb/latency", scenario: 1, pkg: pattern("het-cb", 3), obj: "latency", want: "bd4a5f9f88411259"},
-		{name: "brute/sc1/het-cb/energy", scenario: 1, pkg: pattern("het-cb", 3), obj: "energy", want: "a73c26f5c0202970"},
-		{name: "brute/sc1/het-cb/edp", scenario: 1, pkg: pattern("het-cb", 3), obj: "edp", want: "5023080d8f76166a"},
-		{name: "brute/sc6/het-sides/latency", scenario: 6, pkg: pattern("het-sides", 3), obj: "latency", want: "c2f15f7c94bddf72"},
-		{name: "brute/sc6/het-sides/energy", scenario: 6, pkg: pattern("het-sides", 3), obj: "energy", want: "b28bd646a96ef854"},
-		{name: "brute/sc6/het-sides/edp", scenario: 6, pkg: pattern("het-sides", 3), obj: "edp", want: "47070e799cee542a"},
-		{name: "brute/sc6/het-cb/latency", scenario: 6, pkg: pattern("het-cb", 3), obj: "latency", want: "be06213a2dcd8cd1"},
-		{name: "brute/sc6/het-cb/energy", scenario: 6, pkg: pattern("het-cb", 3), obj: "energy", want: "9418d1942c3e0197"},
-		{name: "brute/sc6/het-cb/edp", scenario: 6, pkg: pattern("het-cb", 3), obj: "edp", want: "5cb59bcddbe3ae7f"},
-		{name: "brute/sc8/het-sides/latency", scenario: 8, pkg: pattern("het-sides", 3), obj: "latency", want: "d2fbfb62db4628b6"},
-		{name: "brute/sc8/het-sides/energy", scenario: 8, pkg: pattern("het-sides", 3), obj: "energy", want: "c37feb40e1432be1"},
-		{name: "brute/sc8/het-sides/edp", scenario: 8, pkg: pattern("het-sides", 3), obj: "edp", want: "c28e575dc75ec883"},
-		{name: "brute/sc8/het-cb/latency", scenario: 8, pkg: pattern("het-cb", 3), obj: "latency", want: "27974b630ea7f970"},
-		{name: "brute/sc8/het-cb/energy", scenario: 8, pkg: pattern("het-cb", 3), obj: "energy", want: "244ef185db84de0b"},
-		{name: "brute/sc8/het-cb/edp", scenario: 8, pkg: pattern("het-cb", 3), obj: "edp", want: "849b7ee04d6464d1"},
+		{name: "brute/sc1/het-sides/latency", scenario: 1, pkg: pattern("het-sides", 3), obj: "latency", want: "fe96f7351b04d835"},
+		{name: "brute/sc1/het-sides/energy", scenario: 1, pkg: pattern("het-sides", 3), obj: "energy", want: "d78b8f7a818cad27"},
+		{name: "brute/sc1/het-sides/edp", scenario: 1, pkg: pattern("het-sides", 3), obj: "edp", want: "ededf67440ea2ab2"},
+		{name: "brute/sc1/het-cb/latency", scenario: 1, pkg: pattern("het-cb", 3), obj: "latency", want: "91f4e3f14ff0842a"},
+		{name: "brute/sc1/het-cb/energy", scenario: 1, pkg: pattern("het-cb", 3), obj: "energy", want: "797484a9068caad9"},
+		{name: "brute/sc1/het-cb/edp", scenario: 1, pkg: pattern("het-cb", 3), obj: "edp", want: "28ae5446f53f9e9e"},
+		{name: "brute/sc6/het-sides/latency", scenario: 6, pkg: pattern("het-sides", 3), obj: "latency", want: "3b3eeeb071634ae4"},
+		{name: "brute/sc6/het-sides/energy", scenario: 6, pkg: pattern("het-sides", 3), obj: "energy", want: "0ddd7426a2fd0e6a"},
+		{name: "brute/sc6/het-sides/edp", scenario: 6, pkg: pattern("het-sides", 3), obj: "edp", want: "008ed1cd57596cd9"},
+		{name: "brute/sc6/het-cb/latency", scenario: 6, pkg: pattern("het-cb", 3), obj: "latency", want: "f87022d51c798194"},
+		{name: "brute/sc6/het-cb/energy", scenario: 6, pkg: pattern("het-cb", 3), obj: "energy", want: "59ec3257fbcc983f"},
+		{name: "brute/sc6/het-cb/edp", scenario: 6, pkg: pattern("het-cb", 3), obj: "edp", want: "40a2675ad7b56ecf"},
+		{name: "brute/sc8/het-sides/latency", scenario: 8, pkg: pattern("het-sides", 3), obj: "latency", want: "ac975d04e6e377be"},
+		{name: "brute/sc8/het-sides/energy", scenario: 8, pkg: pattern("het-sides", 3), obj: "energy", want: "8a962d75c9ff79d6"},
+		{name: "brute/sc8/het-sides/edp", scenario: 8, pkg: pattern("het-sides", 3), obj: "edp", want: "04cdc299d552c116"},
+		{name: "brute/sc8/het-cb/latency", scenario: 8, pkg: pattern("het-cb", 3), obj: "latency", want: "0048be555aa1d542"},
+		{name: "brute/sc8/het-cb/energy", scenario: 8, pkg: pattern("het-cb", 3), obj: "energy", want: "cd91555e97935272"},
+		{name: "brute/sc8/het-cb/edp", scenario: 8, pkg: pattern("het-cb", 3), obj: "edp", want: "a7ef74059fb94e0d"},
 		{
 			// Scenario 5 on a 6x6 package: the GA finds no feasible
 			// genome for some windows and falls back to the tree search.
 			name: "evo/sc5/simba-shi-6x6/edp", scenario: 5, pkg: pattern("simba-shi", 6), obj: "edp",
 			opts: func(o *Options) { o.Search = SearchEvolutionary; o.NodeAllocCap = 6 },
-			want: "e788726339cee176",
+			want: "5c5bf1d22d2941e7",
 		},
 		{
 			name: "free/sc1/het-sides/edp", scenario: 1, pkg: pattern("het-sides", 3), obj: "edp",
 			opts: func(o *Options) { o.FreePlacement = true },
-			want: "0b9d703cc17c51fe",
+			want: "fe874dc471384009",
 		},
 		{
 			name: "prov-exhaustive/sc6/het-cb/edp", scenario: 6, pkg: pattern("het-cb", 3), obj: "edp",
 			opts: func(o *Options) { o.Prov = ProvExhaustive; o.MaxProvOptions = 8 },
-			want: "ac6af4cce7461d26",
+			want: "e7b31433da188e04",
 		},
-		{name: "triangular/sc8/het-t/edp", scenario: 8, pkg: pattern("het-t", 3), obj: "edp", want: "f52d1a6e245d235e"},
-		{name: "custom/sc8/ring/latency", scenario: 8, pkg: goldenRing, obj: "latency", want: "999cdf435e9cd6e9"},
-		{name: "brute-hits/sc7/het-cb/edp", scenario: 7, pkg: pattern("het-cb", 3), obj: "edp", hits: true, want: "0aadf8eb2ae4b86a"},
+		{name: "triangular/sc8/het-t/edp", scenario: 8, pkg: pattern("het-t", 3), obj: "edp", want: "6c8fe0a3428a0533"},
+		{name: "custom/sc8/ring/latency", scenario: 8, pkg: goldenRing, obj: "latency", want: "62c2691fcc339e51"},
+		{name: "brute-hits/sc7/het-cb/edp", scenario: 7, pkg: pattern("het-cb", 3), obj: "edp", hits: true, want: "4f123e12fe2b7493"},
 		{
 			name: "evo-prov-exhaustive/sc6/het-sides/edp", scenario: 6, pkg: pattern("het-sides", 3), obj: "edp",
 			opts: func(o *Options) { o.Search = SearchEvolutionary; o.Prov = ProvExhaustive; o.MaxProvOptions = 8 },
-			want: "e0018831d0c59daa",
+			want: "69a772056f651d59",
 		},
-		{name: "uniform/sc8/het-sides/edp", scenario: 8, pkg: pattern("het-sides", 3), obj: "edp", uniform: true, want: "55d18ea35dc14fbb"},
+		{name: "uniform/sc8/het-sides/edp", scenario: 8, pkg: pattern("het-sides", 3), obj: "edp", uniform: true, want: "f0f916bd15ecfa45"},
 		{
 			name: "workers1/sc7/het-sides/latency", scenario: 7, pkg: pattern("het-sides", 3), obj: "latency",
 			opts: func(o *Options) { o.Workers = 1 },
-			want: "53b5035c71659c4e",
+			want: "a675338918afc1f0",
 		},
 		{
 			name: "workers4/sc7/het-sides/latency", scenario: 7, pkg: pattern("het-sides", 3), obj: "latency",
 			opts: func(o *Options) { o.Workers = 4 },
-			want: "53b5035c71659c4e",
+			want: "a675338918afc1f0",
 		},
 	}
 }
