@@ -95,12 +95,11 @@ type CandidateMetrics struct {
 // memo-key buffer, one random stream that every task and every SEG call
 // on the worker reseeds with its own derived seed (a reseeded stream is a
 // fresh one), the root-tuple buffers every tree search on the worker
-// reuses, the
-// count of leaf evaluations the worker was asked for (it paces the
-// context poll) and the count of real leaf evaluations it made (a full
-// WindowEval, or a tree-search leaf combined from its passes). The pool
-// guarantees no two concurrently-running tasks share a worker id, so
-// access is race-free without locks.
+// reuses, the count of leaf evaluations the worker was asked for (it
+// paces the context poll) and the count of real leaf evaluations it made
+// (a full WindowEval, or a tree-search leaf combined from its passes).
+// The pool guarantees no two concurrently-running tasks share a worker
+// id, so access is race-free without locks.
 type workerState struct {
 	scratch   *eval.Scratch
 	paths     pathPasses
