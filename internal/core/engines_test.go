@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -266,6 +267,32 @@ func TestSegmentCandidatesSortedAndValid(t *testing.T) {
 		if c.numSegments() > 3 {
 			t.Errorf("candidate %v exceeds node allocation", c.ends)
 		}
+	}
+}
+
+// At batch 1 the SEG proxy charges each stage's weight load: on four
+// equal weight-heavy layers the balanced cut overlaps the second half's
+// load with the first half's pass, a tail cut overlaps less and no cut
+// nothing. Without weights the proxy is the plain pipeline estimate,
+// bottleneck plus the other stages over the batch plus the transfers.
+func TestSegProxyChargesWeightLoads(t *testing.T) {
+	pkg := mcm.HetCB(2, 2, maestro.DefaultDatacenterChiplet())
+	lat := []float64{1e-3, 1e-3, 1e-3, 1e-3}
+	out := []float64{1e3, 1e3, 1e3, 1e3}
+	weights := []float64{1e8, 1e8, 1e8, 1e8} // 1.56 ms each at 64 GB/s
+	obj := LatencyObjective()
+	balanced := scoreSegmentation(1, []int{1, 3}, lat, 0, out, weights, pkg, obj)
+	tail := scoreSegmentation(1, []int{2, 3}, lat, 0, out, weights, pkg, obj)
+	whole := scoreSegmentation(1, []int{3}, lat, 0, out, weights, pkg, obj)
+	if !(balanced < tail && tail < whole) {
+		t.Errorf("proxy balanced %v, tail %v, whole %v; want balanced < tail < whole", balanced, tail, whole)
+	}
+
+	lat = []float64{1e-3, 4e-3, 2e-3, 3e-3}
+	xfer := 2 * (1e3/pkg.NoPBandwidth + pkg.NoPHopLatency)
+	want := 5e-3 + (10e-3-5e-3)/8 + xfer // stages of 1, 4 and 5 ms at batch 8
+	if got := scoreSegmentation(8, []int{0, 1, 3}, lat, 0, out, make([]float64, 4), pkg, obj); math.Abs(got-want) > 1e-15 {
+		t.Errorf("proxy without weights %v, want %v", got, want)
 	}
 }
 
