@@ -74,8 +74,9 @@ type Options struct {
 	WindowEvalBudget int
 	// Seed is the root of every seeded random stream of a search: each
 	// window search derives its own seed from it and the window's layer
-	// ranges, and from that the streams of SEG's sampling fallback, of
-	// SCHED's root-tuple sampling and of the evolutionary search.
+	// ranges, and from that, through mixSeed, the splitmix64 streams of
+	// SEG's sampling fallback, of SCHED's root-tuple sampling and of the
+	// evolutionary search.
 	Seed int64
 	// Search selects brute-force tree search (3x3 default) or the
 	// evolutionary algorithm (the paper's 6x6 configuration).
