@@ -247,9 +247,8 @@ func TestSegmentCandidatesSortedAndValid(t *testing.T) {
 		workload.GEMM("l4", 64, 512, 512),
 	})
 	sc := workload.NewScenario("s", model)
-	expLat, expE := db.ExpectedLayers(&sc, pkg)
+	expLat, expE, out, weights := eval.Compile(db, pkg, &sc, DefaultOptions().Eval).Expected()
 	rng := seeded(7)
-	out, weights := layerBytes(&sc)
 	// k = 100 exceeds the 1+4+6 candidates, so every candidate returns.
 	cands := segmentCandidates(model.Batch, layerRange{0, 4}, 3, 100, expLat[0], expE[0], out[0], weights[0], pkg, EDPObjective(), DefaultOptions(), rng, 7)
 	if len(cands) == 0 {

@@ -62,17 +62,21 @@ func realPlans(rng *rand.Rand, sc *workload.Scenario, maxModels, maxSegs int, si
 // leaves from per-path passes returns the same result, and scores the
 // same leaves in the same order with the same evaluations, as the same
 // walk scoring every leaf with Compiled.WindowEval; and every leaf's
-// incremental evaluation is bit-equal to its WindowEval. Covers 3x3, 4x4
-// and 6x6 packages with datacenter and edge chiplets, free placement,
-// stop checks, single-segment plans (the mini-batch fit path) and plans
-// whose segment-count order differs from model order (energy must still
-// be summed in model order).
+// incremental evaluation is bit-equal to its WindowEval. Covers 3x3, 4x4,
+// 6x6 and 9x9 packages (81 chiplets: two-word successor bitsets) with
+// datacenter and edge chiplets, free placement, stop checks,
+// single-segment plans at mini-batches above 1 and plans whose
+// segment-count order differs from model order (energy must still be
+// summed in model order). Each session's pathPasses, and with it its
+// stage table, is reused by every search on it, as a pool worker's is:
+// no entry of an earlier search may leak into a later one.
 func TestIncrementalTreeSearchMatchesWindowEval(t *testing.T) {
 	db := costdb.New(maestro.DefaultParams())
 	type setup struct {
-		sc   workload.Scenario
-		pkg  *mcm.MCM
-		comp *eval.Compiled
+		sc    workload.Scenario
+		pkg   *mcm.MCM
+		comp  *eval.Compiled
+		paths *pathPasses
 	}
 	var setups []setup
 	for _, c := range []struct {
@@ -81,6 +85,7 @@ func TestIncrementalTreeSearchMatchesWindowEval(t *testing.T) {
 	}{
 		{5, 3, "het-sides"}, {2, 3, "het-cb"}, {6, 3, "simba-nvd"}, {9, 3, "het-sides"},
 		{4, 4, "het-cb"}, {7, 4, "het-t"}, {5, 6, "het-sides"}, {6, 6, "simba-shi"},
+		{3, 9, "het-cb"}, {8, 9, "het-sides"},
 	} {
 		sc, err := models.ScenarioByNumber(c.scenario)
 		if err != nil {
@@ -94,14 +99,16 @@ func TestIncrementalTreeSearchMatchesWindowEval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		setups = append(setups, setup{sc: sc, pkg: pkg, comp: eval.Compile(db, pkg, &sc, DefaultOptions().Eval)})
+		comp := eval.Compile(db, pkg, &sc, DefaultOptions().Eval)
+		setups = append(setups, setup{sc: sc, pkg: pkg, comp: comp, paths: &pathPasses{table: comp.NewStageTable()}})
 	}
 	objectives := []Objective{LatencyObjective(), EnergyObjective(), EDPObjective()}
-	trials := 240
+	trials := 300
 	if testing.Short() {
-		trials = 80
+		trials = 100
 	}
 	rng := rand.New(rand.NewSource(17))
+	miniBatched, wide := 0, 0
 	for trial := 0; trial < trials; trial++ {
 		st := &setups[trial%len(setups)]
 		chiplets := st.pkg.NumChiplets()
@@ -130,17 +137,16 @@ func TestIncrementalTreeSearchMatchesWindowEval(t *testing.T) {
 		wantRes := treeSearch(nil, full, next, new(tupleBuf), plans, obj, maxTrees, budget,
 			seeded(seed), stopAfterLeaves(&want, stopAfter))
 
-		paths := &pathPasses{comp: st.comp}
 		var got []scoredLeaf
 		incremental := func(segs []eval.Segment) eval.WindowEval {
-			we := paths.window(segs)
+			we := st.paths.window(segs)
 			if ref := st.comp.WindowEval(scratch, eval.TimeWindow{Segments: segs}); !sameWindowEval(we, ref) {
 				t.Fatalf("%s: leaf %d %v: incremental %+v, WindowEval %+v", label, len(got), segs, we, ref)
 			}
 			got = append(got, scoredLeaf{slices.Clone(segs), we})
 			return we
 		}
-		gotRes := treeSearch(paths, incremental, next, new(tupleBuf), plans, obj, maxTrees, budget,
+		gotRes := treeSearch(st.paths, incremental, next, new(tupleBuf), plans, obj, maxTrees, budget,
 			seeded(seed), stopAfterLeaves(&got, stopAfter))
 
 		if !reflect.DeepEqual(gotRes, wantRes) {
@@ -149,6 +155,23 @@ func TestIncrementalTreeSearchMatchesWindowEval(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: scored %d leaves, full evaluation %d, or in another order", label, len(got), len(want))
 		}
+		for _, leaf := range got {
+			for _, seg := range leaf.segs {
+				if seg.Chiplet >= 64 {
+					wide++
+				}
+			}
+			for _, stage := range st.comp.WindowTimings(scratch, eval.TimeWindow{Segments: leaf.segs}) {
+				if stage.Passes < st.sc.Models[stage.Model].Batch {
+					miniBatched++
+				}
+			}
+		}
+	}
+	// The cases the table keys on must have been reached, not just drawn.
+	t.Logf("%d stages at a mini-batch above 1, %d segments on chiplets past 63", miniBatched, wide)
+	if miniBatched == 0 || wide == 0 {
+		t.Errorf("%d stages scored at a mini-batch above 1 and %d segments on chiplets past 63; want both above 0", miniBatched, wide)
 	}
 }
 

@@ -56,9 +56,9 @@ type treeResult struct {
 // evaluation budget, returning the best window schedule under the
 // objective. Plans are ordered internally by descending segment count so
 // the most constrained subtree claims chiplets first. A path steps from a
-// chiplet only to an unoccupied one of its successors, next[chiplet] (see
-// successors): its interposer neighbors, or every chiplet under free
-// placement (the mapping-locality ablation).
+// chiplet only to an unoccupied one of its successors, the bitset
+// next[chiplet] (see successors): its interposer neighbors, or every
+// chiplet under free placement (the mapping-locality ablation).
 //
 // The search itself is serial and self-contained — evalWin scores leaf
 // windows (it must not retain the segment slice, which the search
@@ -94,7 +94,7 @@ type treeResult struct {
 // search incrementally, with evalWin keeping the run's counters, context
 // poll and leaf cache.
 func treeSearch(
-	paths *pathPasses, evalWin func(segs []eval.Segment) eval.WindowEval, next [][]int, roots *tupleBuf,
+	paths *pathPasses, evalWin func(segs []eval.Segment) eval.WindowEval, next [][]uint64, roots *tupleBuf,
 	plans []modelPlan, obj Objective, maxTrees, budget int, rng *stream, stop func() bool,
 ) treeResult {
 	ordered := slices.Clone(plans)
@@ -136,7 +136,7 @@ func treeSearch(
 		budget:  budget,
 		plans:   ordered,
 		next:    next,
-		used:    make([]bool, chiplets),
+		used:    make([]uint64, words(chiplets)),
 		segs:    segs,
 		base:    base,
 		res:     treeResult{score: math.Inf(1)},
@@ -148,14 +148,12 @@ func treeSearch(
 		// Reserving every root up front is the later-root cut: no path
 		// can step onto a chiplet another subtree must start from.
 		for _, c := range roots {
-			t.used[c] = true
+			t.used[c>>6] |= 1 << (c & 63)
 		}
 		t.roots = roots
 		t.left = perTree
 		t.assign(0)
-		for _, c := range roots {
-			t.used[c] = false
-		}
+		clear(t.used)
 	}
 	return t.res
 }
@@ -168,20 +166,20 @@ func treeSearch(
 // factors are then the same at every leaf of one search, and a model's
 // pass depends only on its own chiplet path. So a leaf recomputes only
 // the passes of plans whose path changed since their pass was computed
-// (usually the last plan's alone) and combines the stored passes,
-// bit-identical to evaluating the whole window. Passes are computed at
-// leaves, not as paths complete, because most completed paths on a
-// crowded package lead to no leaf: a later plan finds no free path.
-// Each pool worker owns one, reused by every search it runs, so no
-// search allocates for it once the buffers have grown.
+// (usually the last plan's alone), each from the search's stage table
+// (see eval.StageTable), and combines the stored passes, bit-identical
+// to evaluating the whole window. Passes are computed at leaves, not as
+// paths complete, because most completed paths on a crowded package
+// lead to no leaf: a later plan finds no free path. Each pool worker
+// owns one, reused by every search it runs, so no search allocates for
+// it once the buffers have grown.
 type pathPasses struct {
-	comp       *eval.Compiled
-	at         []int            // plan k's segments are a leaf's [at[k], at[k+1])
-	path       []int            // the chiplets each segment's stored pass was computed for
-	passes     []eval.ModelPass // plan k's pass
-	order      []int            // plan indices by ascending model
-	nopC, offC float64
-	layers     int
+	table  *eval.StageTable
+	at     []int            // plan k's segments are a leaf's [at[k], at[k+1])
+	path   []int            // the chiplets each segment's stored pass was computed for
+	passes []eval.ModelPass // plan k's pass
+	order  []int            // plan indices by ascending model
+	layers int
 }
 
 // reset prepares the passes for one search over the ordered plans.
@@ -208,7 +206,7 @@ func (p *pathPasses) reset(plans []modelPlan) {
 			p.order[i], p.order[i-1] = p.order[i-1], p.order[i]
 		}
 	}
-	p.nopC, p.offC = p.comp.Factors(crossFlows, offFlows)
+	p.table.Reset(len(p.path), crossFlows, offFlows)
 }
 
 // window returns the evaluation of the leaf window segs (every plan's
@@ -227,7 +225,7 @@ func (p *pathPasses) window(segs []eval.Segment) eval.WindowEval {
 				for j := range plan {
 					path[j] = plan[j].Chiplet
 				}
-				p.passes[k] = p.comp.ModelPass(plan[0].Model, plan, p.nopC, p.offC)
+				p.passes[k] = p.table.Pass(p.at[k], plan)
 				break
 			}
 		}
@@ -246,28 +244,24 @@ func (p *pathPasses) window(segs []eval.Segment) eval.WindowEval {
 	return we
 }
 
-// successors lists, per chiplet, the chiplets a path may step to next in
-// ascending order: its interposer neighbors, or every other chiplet under
-// free placement. All lists share one backing array.
-func successors(adj [][]bool, freePlacement bool) [][]int {
-	total := 0
+// words returns the number of 64-bit words of a bitset over n chiplets.
+func words(n int) int { return (n + 63) / 64 }
+
+// successors returns, per chiplet, the bitset of the chiplets a path may
+// step to next: its interposer neighbors, or every other chiplet under
+// free placement. Chiplet c is bit c%64 of word c/64. All rows share one
+// backing array.
+func successors(adj [][]bool, freePlacement bool) [][]uint64 {
+	w := words(len(adj))
+	flat := make([]uint64, len(adj)*w)
+	out := make([][]uint64, len(adj))
 	for cur, row := range adj {
+		out[cur] = flat[cur*w : (cur+1)*w : (cur+1)*w]
 		for next, linked := range row {
 			if (freePlacement || linked) && next != cur {
-				total++
+				out[cur][next>>6] |= 1 << (next & 63)
 			}
 		}
-	}
-	flat := make([]int, 0, total)
-	out := make([][]int, len(adj))
-	for cur, row := range adj {
-		start := len(flat)
-		for next, linked := range row {
-			if (freePlacement || linked) && next != cur {
-				flat = append(flat, next)
-			}
-		}
-		out[cur] = flat[start:len(flat):len(flat)]
 	}
 	return out
 }
@@ -282,8 +276,8 @@ type treeWalk struct {
 	stop    func() bool
 	budget  int
 	plans   []modelPlan
-	next    [][]int
-	used    []bool
+	next    [][]uint64
+	used    []uint64 // bitset of the chiplets taken, laid out as next's rows
 	segs    []eval.Segment
 	base    []int
 	roots   []int
@@ -320,22 +314,24 @@ func (t *treeWalk) assign(k int) {
 }
 
 // extend places plan k's segment q on chiplet cur (already marked used),
-// then either plants the next subtree or walks on to every free successor.
+// then either plants the next subtree or walks on to every free successor
+// in ascending order. A word's free successors are read once: every
+// deeper step restores the bits it takes before it returns.
 func (t *treeWalk) extend(k, q, cur int) {
 	t.segs[t.base[k]+q].Chiplet = cur
 	if q+1 == t.plans[k].numSegments() {
 		t.assign(k + 1)
-	} else {
-		for _, next := range t.next[cur] {
-			if t.used[next] {
-				continue
-			}
+		return
+	}
+	for w, row := range t.next[cur] {
+		for free := row &^ t.used[w]; free != 0; free &= free - 1 {
 			if t.done() {
-				break
+				return
 			}
-			t.used[next] = true
-			t.extend(k, q+1, next)
-			t.used[next] = false
+			bit := free & -free
+			t.used[w] |= bit
+			t.extend(k, q+1, w<<6|bits.TrailingZeros64(free))
+			t.used[w] &^= bit
 		}
 	}
 }

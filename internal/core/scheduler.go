@@ -128,7 +128,7 @@ type run struct {
 	outB    [][]float64 // per-layer output bytes at the model's batch
 	weightB [][]float64 // per-layer weight bytes
 	adj     [][]bool
-	next    [][]int // per-chiplet tree-search successors (see successors)
+	next    [][]uint64 // per-chiplet tree-search successor bitsets (see successors)
 	pool    *pool
 	workers []workerState
 	memo    *windowMemo
@@ -182,14 +182,13 @@ func (s *Scheduler) newRun(ctx context.Context, req *Request, opts Options) *run
 		memo:      newWindowMemo(),
 		bestScore: math.Inf(1),
 	}
-	r.expLat, r.expE = s.db.ExpectedLayers(req.Scenario, req.MCM)
-	r.outB, r.weightB = layerBytes(req.Scenario)
+	r.expLat, r.expE, r.outB, r.weightB = comp.Expected()
 	r.next = successors(r.adj, opts.FreePlacement)
 	r.deadline, _ = ctx.Deadline()
 	r.workers = make([]workerState, r.pool.NWorkers())
 	for i := range r.workers {
 		r.workers[i].scratch = r.comp.NewScratch()
-		r.workers[i].paths.comp = r.comp
+		r.workers[i].paths.table = r.comp.NewStageTable()
 	}
 	return r
 }

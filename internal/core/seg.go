@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"example.com/scar/internal/mcm"
-	"example.com/scar/internal/workload"
 )
 
 // This file is the SEG engine (Section IV-C): it partitions a model's
@@ -260,22 +259,4 @@ func scoreSegmentation(
 	}
 	pipeLat := fill + (batch-1)*maxStage/batch
 	return obj.proxy(pipeLat, energy+xferPJ)
-}
-
-// layerBytes tabulates every layer's output activation size at its
-// model's batch and its weight size, as float64, once per run: the SEG
-// proxy charges an output for every cut and the weights of every stage
-// of every candidate it scores.
-func layerBytes(sc *workload.Scenario) (out, weights [][]float64) {
-	out = make([][]float64, len(sc.Models))
-	weights = make([][]float64, len(sc.Models))
-	for mi, model := range sc.Models {
-		out[mi] = make([]float64, len(model.Layers))
-		weights[mi] = make([]float64, len(model.Layers))
-		for li, l := range model.Layers {
-			out[mi][li] = float64(l.WithBatch(model.Batch).OutputBytes())
-			weights[mi][li] = float64(l.WeightBytes())
-		}
-	}
-	return out, weights
 }

@@ -2,37 +2,61 @@
 // framework consults during scheduling. The paper's MCM-Reconfig engine
 // receives "expected latency and energy of each layer on each chiplet
 // class offline-analyzed by MAESTRO" (Section IV-A); this package is that
-// database: it memoizes internal/maestro results per (layer, dataflow,
-// chiplet class) and derives the expectation of Equation (1).
+// database: it memoizes internal/maestro results per (layer shape,
+// dataflow, chiplet spec). The expectation of Equation (1) is formed from
+// these results by eval.Compile.
 package costdb
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"example.com/scar/internal/dataflow"
 	"example.com/scar/internal/maestro"
-	"example.com/scar/internal/mcm"
 	"example.com/scar/internal/workload"
 )
 
-// key identifies a cached cost-model evaluation. Layers are keyed by
-// shape, not by name, so identical layers across models share entries —
-// exactly what makes the offline database practical.
+// key identifies a cached cost-model evaluation by everything
+// maestro.Analyze reads: the layer's shape, the dataflow's mapping
+// parameters and the full chiplet spec. Layers are keyed by shape, not
+// by name, so identical layers across models share entries — exactly
+// what makes the offline database practical; dataflows are keyed by
+// their parameters, not their name, for the same reason. The spec's
+// float fields are held as their bits, so the key hashes and compares
+// as one block of memory.
 type key struct {
 	op                   workload.OpType
 	n, k, c, y, x, r, s  int
 	stride, bytesPerElem int
-	df                   string
+	style                dataflow.Style
+	atomicC, maxMaps     int
 	pes                  int
 	l2                   int64
+	noc, clock           uint64
 }
 
 func makeKey(l workload.Layer, df dataflow.Dataflow, spec maestro.Chiplet) key {
-	return key{
-		op: l.Type, n: l.N, k: l.K, c: l.C, y: l.Y, x: l.X, r: l.R, s: l.S,
-		stride: l.Stride, bytesPerElem: l.BytesPerElem,
-		df: df.Name, pes: spec.NumPEs, l2: spec.L2Bytes,
+	k := key{
+		style: df.Style, atomicC: df.AtomicC, maxMaps: df.MaxMaps,
+		pes: spec.NumPEs, l2: spec.L2Bytes,
+		noc: math.Float64bits(spec.NoCBandwidth), clock: math.Float64bits(spec.ClockHz),
+	}
+	k.setShape(&l, l.N)
+	return k
+}
+
+// setShape sets the key's layer fields to l's shape at batch n.
+func (k *key) setShape(l *workload.Layer, n int) {
+	k.op, k.n, k.k, k.c, k.y, k.x, k.r, k.s = l.Type, n, l.K, l.C, l.Y, l.X, l.R, l.S
+	k.stride, k.bytesPerElem = l.Stride, l.BytesPerElem
+}
+
+// spec returns the chiplet spec the key was made from.
+func (k key) spec() maestro.Chiplet {
+	return maestro.Chiplet{
+		NumPEs: k.pes, L2Bytes: k.l2,
+		NoCBandwidth: math.Float64frombits(k.noc), ClockHz: math.Float64frombits(k.clock),
 	}
 }
 
@@ -111,6 +135,29 @@ func (db *DB) Cost(l workload.Layer, df dataflow.Dataflow, spec maestro.Chiplet)
 	return fl.r
 }
 
+// Column sets out[i] to Cost(layers[i].WithBatch(bp), df, spec) for every
+// layer, under one read lock for all the layers already cached; the
+// others go through Cost. Each layer counts as one lookup, as through
+// Cost.
+func (db *DB) Column(layers []workload.Layer, bp int, df dataflow.Dataflow, spec maestro.Chiplet, out []maestro.Result) {
+	var missed []int
+	k := makeKey(workload.Layer{}, df, spec)
+	db.mu.RLock()
+	for i := range layers {
+		k.setShape(&layers[i], bp)
+		r, ok := db.cache[k]
+		if !ok {
+			missed = append(missed, i)
+		}
+		out[i] = r
+	}
+	db.mu.RUnlock()
+	db.hits.Add(int64(len(layers) - len(missed)))
+	for _, i := range missed {
+		out[i] = db.Cost(layers[i].WithBatch(bp), df, spec)
+	}
+}
+
 // Size returns the number of cached entries (for tests and diagnostics).
 func (db *DB) Size() int {
 	db.mu.RLock()
@@ -123,87 +170,4 @@ func (db *DB) Size() int {
 // waiters), misses the number of maestro.Analyze computations performed.
 func (db *DB) Stats() (hits, misses int64) {
 	return db.hits.Load(), db.misses.Load()
-}
-
-// dataflowShare is one dataflow class of a package as Equation (1)
-// weighs it: the spec of its first chiplet (all chiplets of one dataflow
-// class share a spec in the paper's templates) and its share n_df / |C|.
-type dataflowShare struct {
-	df    dataflow.Dataflow
-	spec  maestro.Chiplet
-	count int
-	w     float64
-}
-
-// mixtureOf resolves a package's dataflow classes in first-appearance
-// order.
-func mixtureOf(m *mcm.MCM) []dataflowShare {
-	var mix []dataflowShare
-	for _, c := range m.Chiplets {
-		i := 0
-		for i < len(mix) && mix[i].df.Name != c.Dataflow.Name {
-			i++
-		}
-		if i == len(mix) {
-			mix = append(mix, dataflowShare{df: c.Dataflow, spec: c.Spec})
-		}
-		mix[i].count++
-	}
-	total := float64(m.NumChiplets())
-	for i := range mix {
-		mix[i].w = float64(mix[i].count) / total
-	}
-	return mix
-}
-
-func (db *DB) expected(l workload.Layer, mix []dataflowShare) (latSec, energyPJ float64) {
-	for _, c := range mix {
-		r := db.Cost(l, c.df, c.spec)
-		latSec += c.w * r.ComputeSeconds
-		energyPJ += c.w * r.EnergyPJ
-	}
-	return latSec, energyPJ
-}
-
-// Expected implements Equation (1) of the paper and its energy analogue:
-// the dataflow-composition-weighted expectation of a layer's cost on the
-// package,
-//
-//	E(Lat(l)) = sum_i  n_df_i / |C| * Lat(l -> df_i)
-//
-// It returns expected latency (seconds) and energy (pJ). The expectation
-// is what the MCM-Reconfig and PROV engines use before chiplet assignment
-// is known.
-func (db *DB) Expected(l workload.Layer, m *mcm.MCM) (latSec, energyPJ float64) {
-	return db.expected(l, mixtureOf(m))
-}
-
-// ExpectedModel sums Expected over a model's layers at its batch size,
-// giving E(P_i) for the PROV engine's Equation (2).
-func (db *DB) ExpectedModel(model workload.Model, m *mcm.MCM) (latSec, energyPJ float64) {
-	mix := mixtureOf(m)
-	for _, l := range model.Layers {
-		lat, e := db.expected(l.WithBatch(model.Batch), mix)
-		latSec += lat
-		energyPJ += e
-	}
-	return latSec, energyPJ
-}
-
-// ExpectedLayers returns Expected for every layer of every model of the
-// scenario at the model's batch size, as latSec[model][layer] and
-// energyPJ[model][layer]. The package's composition is resolved once, not
-// per layer.
-func (db *DB) ExpectedLayers(sc *workload.Scenario, m *mcm.MCM) (latSec, energyPJ [][]float64) {
-	mix := mixtureOf(m)
-	latSec = make([][]float64, len(sc.Models))
-	energyPJ = make([][]float64, len(sc.Models))
-	for mi, model := range sc.Models {
-		latSec[mi] = make([]float64, len(model.Layers))
-		energyPJ[mi] = make([]float64, len(model.Layers))
-		for li, l := range model.Layers {
-			latSec[mi][li], energyPJ[mi][li] = db.expected(l.WithBatch(model.Batch), mix)
-		}
-	}
-	return latSec, energyPJ
 }

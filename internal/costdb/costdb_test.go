@@ -6,7 +6,6 @@ import (
 
 	"example.com/scar/internal/dataflow"
 	"example.com/scar/internal/maestro"
-	"example.com/scar/internal/mcm"
 	"example.com/scar/internal/workload"
 )
 
@@ -112,92 +111,54 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestExpectedIsMixture(t *testing.T) {
+// Every field maestro.Analyze reads is part of the key: a chiplet that
+// differs from a cached one only in clock or on-chip bandwidth, or a
+// dataflow that differs only in its mapping parameters, is analyzed
+// afresh instead of served the cached result.
+func TestKeyCoversEveryAnalyzeInput(t *testing.T) {
 	db := newDB()
-	spec := maestro.DefaultDatacenterChiplet()
-	l := workload.GEMM("g", 128, 1280, 1280)
-	nvd := db.Cost(l, dataflow.NVDLA(), spec)
-	shi := db.Cost(l, dataflow.ShiDianNao(), spec)
-
-	homo := mcm.Simba(3, 3, dataflow.NVDLA(), spec)
-	lat, e := db.Expected(l, homo)
-	if lat != nvd.ComputeSeconds || e != nvd.EnergyPJ {
-		t.Errorf("homogeneous expectation != pure NVDLA cost")
-	}
-
-	het := mcm.HetCB(3, 3, spec) // 5 NVDLA + 4 Shi
-	lat, e = db.Expected(l, het)
-	wantLat := (5*nvd.ComputeSeconds + 4*shi.ComputeSeconds) / 9
-	wantE := (5*nvd.EnergyPJ + 4*shi.EnergyPJ) / 9
-	if !approxEq(lat, wantLat) || !approxEq(e, wantE) {
-		t.Errorf("Expected = (%v, %v), want (%v, %v)", lat, e, wantLat, wantE)
-	}
-	// The mixture must lie strictly between the pure costs.
-	lo, hi := nvd.ComputeSeconds, shi.ComputeSeconds
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if lat <= lo || lat >= hi {
-		t.Errorf("expectation %v outside (%v, %v)", lat, lo, hi)
-	}
-}
-
-func TestExpectedModelSums(t *testing.T) {
-	db := newDB()
-	spec := maestro.DefaultDatacenterChiplet()
-	het := mcm.HetCB(3, 3, spec)
-	m := workload.NewModel("m", 2, []workload.Layer{
-		workload.GEMM("g0", 64, 256, 256),
-		workload.GEMM("g1", 64, 256, 512),
-	})
-	lat, e := db.ExpectedModel(m, het)
-	var wantLat, wantE float64
-	for _, l := range m.Layers {
-		ll, ee := db.Expected(l.WithBatch(2), het)
-		wantLat += ll
-		wantE += ee
-	}
-	if !approxEq(lat, wantLat) || !approxEq(e, wantE) {
-		t.Errorf("ExpectedModel = (%v,%v), want (%v,%v)", lat, e, wantLat, wantE)
-	}
-}
-
-// ExpectedLayers resolves the package mixture once, and must still equal
-// Expected layer by layer to the bit.
-func TestExpectedLayersMatchesExpected(t *testing.T) {
-	db := newDB()
-	spec := maestro.DefaultDatacenterChiplet()
-	het := mcm.HetCB(3, 3, spec)
-	sc := workload.NewScenario("s",
-		workload.NewModel("a", 2, []workload.Layer{
-			workload.GEMM("a0", 64, 256, 256),
-			workload.GEMM("a1", 64, 256, 512),
-		}),
-		workload.NewModel("b", 4, []workload.Layer{workload.GEMM("b0", 32, 512, 128)}),
-	)
-	lat, e := db.ExpectedLayers(&sc, het)
-	for mi, model := range sc.Models {
-		for li, l := range model.Layers {
-			wantLat, wantE := db.Expected(l.WithBatch(model.Batch), het)
-			if lat[mi][li] != wantLat || e[mi][li] != wantE {
-				t.Errorf("model %d layer %d: ExpectedLayers = (%v, %v), Expected = (%v, %v)",
-					mi, li, lat[mi][li], e[mi][li], wantLat, wantE)
-			}
+	l := workload.Conv("c", 64, 64, 58, 58, 3, 1)
+	base := maestro.DefaultDatacenterChiplet()
+	fast := base
+	fast.ClockHz *= 2
+	fast.NoCBandwidth *= 4
+	wide := dataflow.NVDLA()
+	wide.AtomicC = 32
+	for _, c := range []struct {
+		df   dataflow.Dataflow
+		spec maestro.Chiplet
+	}{
+		{dataflow.NVDLA(), base}, {dataflow.NVDLA(), fast}, {wide, base}, {dataflow.ShiDianNao(), fast},
+	} {
+		got := db.Cost(l, c.df, c.spec)
+		if want := maestro.Analyze(l, c.df, c.spec, maestro.DefaultParams()); got != want {
+			t.Errorf("%s on %+v: shared database %+v, fresh analysis %+v", c.df.Name, c.spec, got, want)
 		}
 	}
+	if db.Size() != 4 {
+		t.Errorf("Size = %d, want 4 distinct entries", db.Size())
+	}
 }
 
-func approxEq(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
+// Column serves a whole column, hits and misses alike, exactly as Cost
+// would layer by layer, and counts one lookup per layer.
+func TestColumnMatchesCost(t *testing.T) {
+	db := newDB()
+	spec := maestro.DefaultEdgeChiplet()
+	layers := []workload.Layer{
+		workload.Conv("c", 64, 128, 28, 28, 3, 1),
+		workload.GEMM("g", 64, 512, 1024),
+		workload.DWConv("d", 96, 56, 56, 3, 2),
 	}
-	scale := a
-	if scale < 0 {
-		scale = -scale
+	db.Cost(layers[1].WithBatch(4), dataflow.NVDLA(), spec) // one hit, two misses
+	out := make([]maestro.Result, len(layers))
+	db.Column(layers, 4, dataflow.NVDLA(), spec, out)
+	for i, l := range layers {
+		if want := maestro.Analyze(l.WithBatch(4), dataflow.NVDLA(), spec, maestro.DefaultParams()); out[i] != want {
+			t.Errorf("layer %d: Column %+v, Analyze %+v", i, out[i], want)
+		}
 	}
-	if scale < 1e-30 {
-		return d < 1e-30
+	if hits, misses := db.Stats(); hits != 1 || misses != 3 {
+		t.Errorf("Stats = (%d hits, %d misses), want (1, 3)", hits, misses)
 	}
-	return d/scale < 1e-12
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"example.com/scar/internal/dataflow"
 	"example.com/scar/internal/maestro"
 	"example.com/scar/internal/workload"
 )
@@ -17,8 +18,10 @@ import (
 // calibration params).
 
 // persistVersion guards the on-disk layout; bump it when the key or
-// result shape changes.
-const persistVersion = 1
+// result shape changes. Version 1 keyed entries on the dataflow's name
+// and two chiplet fields, so its entries cannot be told apart by clock
+// or on-chip bandwidth and are rejected.
+const persistVersion = 2
 
 // savedEntry mirrors the unexported cache key plus its result with
 // exported fields, as gob requires.
@@ -26,9 +29,9 @@ type savedEntry struct {
 	Op                   workload.OpType
 	N, K, C, Y, X, R, S  int
 	Stride, BytesPerElem int
-	DF                   string
-	PEs                  int
-	L2                   int64
+	Style                dataflow.Style
+	AtomicC, MaxMaps     int
+	Chiplet              maestro.Chiplet
 	Result               maestro.Result
 }
 
@@ -51,8 +54,9 @@ func (db *DB) Save(w io.Writer) error {
 		out.Entries = append(out.Entries, savedEntry{
 			Op: k.op, N: k.n, K: k.k, C: k.c, Y: k.y, X: k.x, R: k.r, S: k.s,
 			Stride: k.stride, BytesPerElem: k.bytesPerElem,
-			DF: k.df, PEs: k.pes, L2: k.l2,
-			Result: r,
+			Style: k.style, AtomicC: k.atomicC, MaxMaps: k.maxMaps,
+			Chiplet: k.spec(),
+			Result:  r,
 		})
 	}
 	db.mu.RUnlock()
@@ -75,12 +79,12 @@ func (db *DB) Load(r io.Reader) error {
 	}
 	db.mu.Lock()
 	for _, e := range in.Entries {
-		k := key{
-			op: e.Op, n: e.N, k: e.K, c: e.C, y: e.Y, x: e.X, r: e.R, s: e.S,
-			stride: e.Stride, bytesPerElem: e.BytesPerElem,
-			df: e.DF, pes: e.PEs, l2: e.L2,
+		l := workload.Layer{
+			Type: e.Op, N: e.N, K: e.K, C: e.C, Y: e.Y, X: e.X, R: e.R, S: e.S,
+			Stride: e.Stride, BytesPerElem: e.BytesPerElem,
 		}
-		db.cache[k] = e.Result
+		df := dataflow.Dataflow{Style: e.Style, AtomicC: e.AtomicC, MaxMaps: e.MaxMaps}
+		db.cache[makeKey(l, df, e.Chiplet)] = e.Result
 	}
 	db.mu.Unlock()
 	return nil

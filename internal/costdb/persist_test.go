@@ -2,6 +2,7 @@ package costdb
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 
 	"example.com/scar/internal/dataflow"
@@ -90,5 +91,19 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	db := New(maestro.DefaultParams())
 	if err := db.Load(bytes.NewReader([]byte("not a gob stream"))); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// A version-1 snapshot keyed entries on the dataflow name, PE count and
+// L2 size alone, so it is rejected rather than merged.
+func TestLoadRejectsVersion1(t *testing.T) {
+	var buf bytes.Buffer
+	old := savedDB{Version: 1, Params: maestro.DefaultParams()}
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	db := New(maestro.DefaultParams())
+	if err := db.Load(&buf); err == nil {
+		t.Fatal("version-1 snapshot accepted")
 	}
 }

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 
 	"example.com/scar/internal/comm"
 	"example.com/scar/internal/costdb"
@@ -81,6 +82,11 @@ type Compiled struct {
 	memIFHops []int   // chiplet ID -> hops to nearest memory interface
 	hops      [][]int // all-pairs chiplet hop counts
 	models    []compiledModel
+
+	// Per model and layer, at the model's batch: expected latency and
+	// energy (see Expected), output bytes and weight bytes.
+	expLat, expE          [][]float64
+	outBytes, weightBytes [][]float64
 }
 
 // Compile builds the evaluation session. Table entries are filled through
@@ -96,6 +102,7 @@ func Compile(db *costdb.DB, m *mcm.MCM, sc *workload.Scenario, opts Options) *Co
 	c.classOf = make([]int, n)
 	c.memIFHops = make([]int, n)
 	c.hops = make([][]int, n)
+	var count []int // chiplets per class
 	for id, ch := range m.Chiplets {
 		idx := -1
 		for i, have := range c.classes {
@@ -107,8 +114,10 @@ func Compile(db *costdb.DB, m *mcm.MCM, sc *workload.Scenario, opts Options) *Co
 		if idx < 0 {
 			idx = len(c.classes)
 			c.classes = append(c.classes, dfClass{df: ch.Dataflow.Name, spec: ch.Spec, rep: ch.Dataflow})
+			count = append(count, 0)
 		}
 		c.classOf[id] = idx
+		count[idx]++
 	}
 	for src := 0; src < n; src++ {
 		c.memIFHops[src] = m.NearestMemIFHops(src)
@@ -120,6 +129,11 @@ func Compile(db *costdb.DB, m *mcm.MCM, sc *workload.Scenario, opts Options) *Co
 
 	// Dense per-model tables.
 	c.models = make([]compiledModel, len(sc.Models))
+	c.expLat = make([][]float64, len(sc.Models))
+	c.expE = make([][]float64, len(sc.Models))
+	c.outBytes = make([][]float64, len(sc.Models))
+	c.weightBytes = make([][]float64, len(sc.Models))
+	var col []maestro.Result
 	for mi, model := range sc.Models {
 		L := len(model.Layers)
 		// Hand-built models may carry Batch 0 (NewModel and Validate
@@ -138,12 +152,19 @@ func Compile(db *costdb.DB, m *mcm.MCM, sc *workload.Scenario, opts Options) *Co
 			fit:          make([][]int32, len(c.classes)),
 			costs:        make([][]costPrefix, len(c.classes)),
 		}
+		expLat, expE := make([]float64, L), make([]float64, L)
+		outBytes, weightBytes := make([]float64, L), make([]float64, L)
 		for li, l := range model.Layers {
 			l1 := l.WithBatch(1)
 			cm.perSampleIn[li] = l1.InputBytes()
 			cm.perSampleOut[li] = l1.OutputBytes()
 			cm.weightPref[li+1] = cm.weightPref[li] + l1.WeightBytes()
+			outBytes[li] = float64(int64(batch) * cm.perSampleOut[li])
+			weightBytes[li] = float64(l1.WeightBytes())
 		}
+		c.expLat[mi], c.expE[mi] = expLat, expE
+		c.outBytes[mi], c.weightBytes[mi] = outBytes, weightBytes
+		col = slices.Grow(col[:0], L)[:L]
 		for ci, class := range c.classes {
 			// Mini-batch caps (the residentBatch rule): weights larger
 			// than L2 stream regardless, reserving half the capacity.
@@ -184,6 +205,7 @@ func Compile(db *costdb.DB, m *mcm.MCM, sc *workload.Scenario, opts Options) *Co
 				}
 			}
 			cm.costs[ci] = make([]costPrefix, batch)
+			share := float64(count[ci]) / float64(n)
 			for bp := 1; bp <= batch; bp++ {
 				if !need[bp] {
 					// Unreachable: left empty so an indexing bug fails
@@ -195,11 +217,15 @@ func Compile(db *costdb.DB, m *mcm.MCM, sc *workload.Scenario, opts Options) *Co
 					energy:  make([]float64, L+1),
 					spill:   make([]int64, L+1),
 				}
-				for li, l := range model.Layers {
-					r := db.Cost(l.WithBatch(bp), class.rep, class.spec)
+				db.Column(model.Layers, bp, class.rep, class.spec, col)
+				for li, r := range col {
 					cp.compute[li+1] = cp.compute[li] + r.ComputeSeconds
 					cp.energy[li+1] = cp.energy[li] + r.EnergyPJ
 					cp.spill[li+1] = cp.spill[li] + r.ExtraDRAMBytes
+					if bp == batch {
+						expLat[li] += share * r.ComputeSeconds
+						expE[li] += share * r.EnergyPJ
+					}
 				}
 				cm.costs[ci][bp-1] = cp
 			}
@@ -213,6 +239,22 @@ func Compile(db *costdb.DB, m *mcm.MCM, sc *workload.Scenario, opts Options) *Co
 // forward for callers written against it.
 func New(db *costdb.DB, m *mcm.MCM, sc *workload.Scenario, opts Options) *Compiled {
 	return Compile(db, m, sc, opts)
+}
+
+// Expected returns, per model and layer at the model's batch, the
+// inputs of the search's cost estimates: Equation (1) of the paper and
+// its energy analogue, the expectation of the layer's cost over the
+// package's chiplet classes,
+//
+//	E(Lat(l)) = sum_i  n_i / |C| * Lat(l -> class_i)
+//
+// in seconds and pJ, and the layer's output and weight bytes. A class
+// is a distinct (dataflow, chiplet spec) pair, n_i its chiplet count,
+// and the terms are summed in class order. The expectation is what the
+// MCM-Reconfig, PROV and SEG engines use before chiplets are assigned.
+// The slices belong to the session and must not be modified.
+func (c *Compiled) Expected() (latSec, energyPJ, outBytes, weightBytes [][]float64) {
+	return c.expLat, c.expE, c.outBytes, c.weightBytes
 }
 
 // MCM returns the session's package model.
@@ -391,134 +433,234 @@ type ModelPass struct {
 	EnergyPJ float64
 }
 
-// modelPass evaluates one model's pipeline inside a window (the
-// modelTimings computation on dense tables): first-pass fill with weight
-// prefetch overlap, steady-state bottleneck amortization and energy
-// accumulation. segs are the model's segments sorted by first layer; the
-// walk fuses each maximal run of consecutive same-chiplet segments into
-// one pipeline stage. nopC/offC are the window's contention factors.
-// When s is non-nil, every stage's busy time is added to its chiplet's
-// busy total (models of a general window may share chiplets). When
-// timings is non-nil, stage timings are appended to it (the cold path
-// behind WindowTimings); the hot path passes nil and allocates nothing.
-//
-// It is the only copy of the per-model cost arithmetic: windowInto and
-// the scheduler's tree search (through ModelPass) both call it.
+// stageCost is one pipeline stage's cost terms, every one of which
+// depends only on the stage's own segments, chiplet and mini-batch and
+// on the window's off-chip contention. Only the NoP input of an inner
+// stage also depends on the chiplet upstream, so fold computes it.
+type stageCost struct {
+	chiplet int
+	passes  int
+	// inBytes is the stage's input per pass; dramIn is its transfer
+	// from DRAM on a model's first stage, zero on the others.
+	inBytes int64
+	dramIn  comm.Cost
+	compute comm.Cost // the stage's layers, as O(1) prefix differences
+	spill   comm.Cost // capacity-induced DRAM refetch
+	out     comm.Cost // the last stage's output to DRAM, zero on the others
+	wload   comm.Cost // one-time weight load from DRAM
+}
+
+// fillStage sets st to the cost terms of one stage of model mi: stage
+// is a run of the model's segments, sorted by first layer, on one
+// chiplet; bp is the model's mini-batch; first and last mark the model's
+// first and last stage; offC is the window's off-chip contention factor.
 //
 //scar:hotpath
-func (c *Compiled) modelPass(s *Scratch, mi int, segs []Segment, nopC, offC float64, timings *[]StageTiming) (p ModelPass) {
+func (c *Compiled) fillStage(st *stageCost, mi int, stage []Segment, bp int, first, last bool, offC float64) {
 	cm := &c.models[mi]
+	chiplet := stage[0].Chiplet
+	cp := &cm.costs[c.classOf[chiplet]][bp-1]
+	var computeSec, computePJ float64
+	var spillBytes, weightBytes int64
+	for _, seg := range stage {
+		computeSec += cp.compute[seg.Last+1] - cp.compute[seg.First]
+		computePJ += cp.energy[seg.Last+1] - cp.energy[seg.First]
+		spillBytes += cp.spill[seg.Last+1] - cp.spill[seg.First]
+		weightBytes += cm.weightPref[seg.Last+1] - cm.weightPref[seg.First]
+	}
+	hops := c.memIFHops[chiplet]
+	st.chiplet = chiplet
+	st.passes = (cm.batch + bp - 1) / bp
+	st.inBytes = int64(bp) * cm.perSampleIn[stage[0].First]
+	st.dramIn = comm.Cost{}
+	if first {
+		st.dramIn = comm.OffchipHops(c.m, hops, st.inBytes, offC)
+	}
+	st.compute = comm.Cost{Seconds: computeSec, EnergyPJ: computePJ}
+	st.spill = comm.OffchipHops(c.m, hops, spillBytes, offC)
+	st.out = comm.Cost{}
+	if last {
+		st.out = comm.OffchipHops(c.m, hops, int64(bp)*cm.perSampleOut[stage[len(stage)-1].Last], offC)
+	}
+	st.wload = comm.OffchipHops(c.m, hops, weightBytes, offC)
+}
+
+// passFold folds one model's stages, in pipeline order, into its pass.
+type passFold struct {
+	prev               int // the previous stage's chiplet, -1 before the first
+	passes             int
+	prevOut, steadyMax float64
+	pass               ModelPass
+}
+
+// foldedStage is one folded stage's first pass, energy and busy time.
+type foldedStage struct {
+	start, passLat, energyPJ, busy float64
+}
+
+// fold adds one stage to the pass: the first pass fills the pipeline,
+// starting once the upstream stage's first pass is out and the stage's
+// own weights are loaded; the bottleneck pass sets the steady state.
+// An inner stage's input arrives over the NoP from the previous stage's
+// chiplet under the window's NoP contention nopC. This and fillStage
+// are the only copy of the per-model cost arithmetic: WindowEval folds
+// stages as it computes them, StageTable folds cached ones.
+//
+//scar:hotpath
+func (c *Compiled) fold(f *passFold, st *stageCost, nopC float64) foldedStage {
+	in := st.dramIn
+	if f.prev >= 0 {
+		in = comm.ChipToChipHops(c.m, c.hops[f.prev][st.chiplet], st.inBytes, nopC)
+	}
+	passLat := in.Seconds + st.compute.Seconds + st.spill.Seconds + st.out.Seconds
+	start := f.prevOut
+	if st.wload.Seconds > start {
+		start = st.wload.Seconds
+	}
+	passPJ := in.EnergyPJ + st.compute.EnergyPJ + st.spill.EnergyPJ + st.out.EnergyPJ
+	energy := st.wload.EnergyPJ + float64(st.passes)*passPJ
+	f.pass.EnergyPJ += energy
+	busy := st.wload.Seconds + float64(st.passes)*passLat
+	if busy > f.pass.BusiestSec {
+		f.pass.BusiestSec = busy
+	}
+	f.prev = st.chiplet
+	f.passes = st.passes
+	f.prevOut = start + passLat
+	if passLat > f.steadyMax {
+		f.steadyMax = passLat
+	}
+	return foldedStage{start: start, passLat: passLat, energyPJ: energy, busy: busy}
+}
+
+// finish returns the folded pass: the fill plus the other passes at the
+// bottleneck's pace.
+//
+//scar:hotpath
+func (f *passFold) finish() ModelPass {
+	f.pass.LatencySec = f.prevOut + float64(f.passes-1)*f.steadyMax
+	return f.pass
+}
+
+// modelPass evaluates one model's pipeline inside a window (the
+// modelTimings computation on dense tables). segs are the model's
+// segments sorted by first layer; the walk fuses each maximal run of
+// consecutive same-chiplet segments into one pipeline stage. nopC/offC
+// are the window's contention factors. Every stage's busy time is added
+// to its chiplet's busy total in s (models of a general window may share
+// chiplets). When timings is non-nil, stage timings are appended to it
+// (the cold path behind WindowTimings); the hot path passes nil and
+// allocates nothing.
+//
+//scar:hotpath
+func (c *Compiled) modelPass(s *Scratch, mi int, segs []Segment, nopC, offC float64, timings *[]StageTiming) ModelPass {
 	bp := c.miniBatch(mi, segs)
-	passes := (cm.batch + bp - 1) / bp
 	timingsAt := 0
 	if timings != nil {
 		timingsAt = len(*timings)
 	}
-
-	var prevOut, steadyMax float64
+	f := passFold{prev: -1}
 	for first := 0; first < len(segs); {
 		chiplet := segs[first].Chiplet
 		end := first + 1
 		for end < len(segs) && segs[end].Chiplet == chiplet {
 			end++
 		}
-		stage := segs[first:end]
-		cp := &cm.costs[c.classOf[chiplet]][bp-1]
-
-		// Segment aggregates as O(1) prefix differences.
-		var computeSec, computePJ float64
-		var spillBytes, weightBytes int64
-		for _, seg := range stage {
-			computeSec += cp.compute[seg.Last+1] - cp.compute[seg.First]
-			computePJ += cp.energy[seg.Last+1] - cp.energy[seg.First]
-			spillBytes += cp.spill[seg.Last+1] - cp.spill[seg.First]
-			weightBytes += cm.weightPref[seg.Last+1] - cm.weightPref[seg.First]
+		var st stageCost
+		c.fillStage(&st, mi, segs[first:end], bp, first == 0, end == len(segs), offC)
+		fs := c.fold(&f, &st, nopC)
+		if s.busy[chiplet] == 0 {
+			s.busyTouched = append(s.busyTouched, chiplet) //scar:hotalloc never grows: NewScratch caps busyTouched at NumChiplets and at most one entry per chiplet is appended
 		}
-
-		// One-time weight load from DRAM (overlaps upstream fill).
-		wload := comm.OffchipHops(c.m, c.memIFHops[chiplet], weightBytes, offC)
-
-		// Input arrives from the previous stage's chiplet, or from DRAM
-		// at the window boundary.
-		inBytes := int64(bp) * cm.perSampleIn[stage[0].First]
-		var in comm.Cost
-		if first == 0 {
-			in = comm.OffchipHops(c.m, c.memIFHops[chiplet], inBytes, offC)
-		} else {
-			in = comm.ChipToChipHops(c.m, c.hops[segs[first-1].Chiplet][chiplet], inBytes, nopC)
-		}
-
-		// Output leaves to DRAM from the last stage only; stage-to-stage
-		// transfers are charged as the next stage's input.
-		var out comm.Cost
-		if end == len(segs) {
-			outBytes := int64(bp) * cm.perSampleOut[stage[len(stage)-1].Last]
-			out = comm.OffchipHops(c.m, c.memIFHops[chiplet], outBytes, offC)
-		}
-
-		spill := comm.OffchipHops(c.m, c.memIFHops[chiplet], spillBytes, offC)
-		passLat := in.Seconds + computeSec + spill.Seconds + out.Seconds
-		start := prevOut
-		if wload.Seconds > start {
-			start = wload.Seconds
-		}
-		passPJ := in.EnergyPJ + computePJ + spill.EnergyPJ + out.EnergyPJ
-		stageE := wload.EnergyPJ + float64(passes)*passPJ
-		p.EnergyPJ += stageE
-
-		busy := wload.Seconds + float64(passes)*passLat
-		if busy > p.BusiestSec {
-			p.BusiestSec = busy
-		}
-		if s != nil {
-			if s.busy[chiplet] == 0 {
-				s.busyTouched = append(s.busyTouched, chiplet) //scar:hotalloc never grows: NewScratch caps busyTouched at NumChiplets and at most one entry per chiplet is appended
-			}
-			s.busy[chiplet] += busy
-		}
-
+		s.busy[chiplet] += fs.busy
 		if timings != nil {
 			*timings = append(*timings, StageTiming{ //scar:hotalloc cold trace branch: the hot path passes timings == nil and never enters this block
 				Model:      mi,
 				Chiplet:    chiplet,
-				Segments:   append([]Segment(nil), stage...), //scar:hotalloc cold trace branch: only reached when the caller asked for materialized stage timings
-				WeightSec:  wload.Seconds,
-				FirstStart: start,
-				FirstEnd:   start + passLat,
-				PassSec:    passLat,
-				Passes:     passes,
-				EnergyPJ:   stageE,
+				Segments:   append([]Segment(nil), segs[first:end]...), //scar:hotalloc cold trace branch: only reached when the caller asked for materialized stage timings
+				WeightSec:  st.wload.Seconds,
+				FirstStart: fs.start,
+				FirstEnd:   fs.start + fs.passLat,
+				PassSec:    fs.passLat,
+				Passes:     st.passes,
+				EnergyPJ:   fs.energyPJ,
 			})
-		}
-		prevOut = start + passLat
-		if passLat > steadyMax {
-			steadyMax = passLat
 		}
 		first = end
 	}
-	p.LatencySec = prevOut + float64(passes-1)*steadyMax
+	p := f.finish()
 	if timings != nil {
 		// Steady-state drain: every stage completes its last pass by the
 		// model's pipeline end, staggered by the bottleneck pass.
 		for i := timingsAt; i < len(*timings); i++ {
-			(*timings)[i].BusyEnd = (*timings)[i].FirstEnd + float64(passes-1)*steadyMax
+			(*timings)[i].BusyEnd = (*timings)[i].FirstEnd + float64(f.passes-1)*f.steadyMax
 		}
 	}
 	return p
 }
 
-// ModelPass evaluates model mi's pipeline over its segments (sorted by
-// first layer) under the given contention factors, without touching any
-// Scratch. It is exact for windows in which no two models share a
-// chiplet: there a model's pass depends only on its own segments and
-// the window's factors, and the window's latency is the maximum of its
-// models' LatencySec and BusiestSec, its energy the sum of their
-// EnergyPJ × 1e-12 in ascending model order — bit-identical to
-// WindowEval.
+// StageTable scores the leaves of one tree search from cached stage
+// costs. In a tree search every segment sits on its own chiplet and the
+// window's contention factors are fixed, so every segment is its own
+// stage, a model with two or more segments runs at mini-batch 1, and a
+// one-segment model's mini-batch depends only on its chiplet's class.
+// A stage's cost terms then depend only on its (segment slot, chiplet)
+// pair, except an inner stage's NoP input, which depends on the chiplet
+// before it. The table computes each pair's terms the first time the
+// search asks for them, and Reset makes every entry stale by advancing a
+// generation stamp, so it costs nothing per entry. One StageTable serves
+// one goroutine.
+type StageTable struct {
+	c          *Compiled
+	entries    []stageEntry // slot*chiplets + chiplet
+	gen        uint64
+	nopC, offC float64
+}
+
+type stageEntry struct {
+	gen uint64
+	stageCost
+}
+
+// NewStageTable returns an empty stage table of the session.
+func (c *Compiled) NewStageTable() *StageTable { return &StageTable{c: c} }
+
+// Reset starts a search of slots segment slots whose windows carry
+// crossFlows NoP flows and offFlows off-chip streams.
+func (t *StageTable) Reset(slots, crossFlows, offFlows int) {
+	t.gen++
+	if n := slots * len(t.c.classOf); n > len(t.entries) {
+		t.entries = append(t.entries, make([]stageEntry, n-len(t.entries))...)
+	}
+	t.nopC, t.offC = t.c.Factors(crossFlows, offFlows)
+}
+
+// Pass returns the pass of one model whose segments, sorted by first
+// layer and each on its own chiplet, fill the search's slots from slot
+// on. Each slot holds the same segment, up to its chiplet, throughout a
+// search. The pass is bit-identical to the model's pass inside
+// WindowEval of any window of the search, where the window's latency is
+// the maximum of its models' LatencySec and BusiestSec and its energy
+// the sum of their EnergyPJ × 1e-12 in ascending model order.
 //
 //scar:hotpath
-func (c *Compiled) ModelPass(mi int, segs []Segment, nopC, offC float64) ModelPass {
-	return c.modelPass(nil, mi, segs, nopC, offC, nil)
+func (t *StageTable) Pass(slot int, segs []Segment) ModelPass {
+	c := t.c
+	chiplets := len(c.classOf)
+	f := passFold{prev: -1}
+	for q := range segs {
+		e := &t.entries[(slot+q)*chiplets+segs[q].Chiplet]
+		if e.gen != t.gen {
+			bp := 1
+			if len(segs) == 1 {
+				bp = c.miniBatch(segs[0].Model, segs)
+			}
+			c.fillStage(&e.stageCost, segs[q].Model, segs[q:q+1], bp, q == 0, q == len(segs)-1, t.offC)
+			e.gen = t.gen
+		}
+		c.fold(&f, &e.stageCost, t.nopC)
+	}
+	return f.finish()
 }
 
 // windowInto evaluates a window's segments, leaving per-model latencies

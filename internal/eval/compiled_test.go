@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"example.com/scar/internal/costdb"
+	"example.com/scar/internal/dataflow"
 	"example.com/scar/internal/maestro"
 	"example.com/scar/internal/mcm"
 	"example.com/scar/internal/workload"
@@ -364,4 +365,82 @@ func TestScratchOwnerCheck(t *testing.T) {
 		}
 	}()
 	a.WindowEval(b.NewScratch(), TimeWindow{Segments: []Segment{{Model: 0, First: 0, Last: 0, Chiplet: 0}}})
+}
+
+// Expected is Equation (1): the chiplet-share-weighted mixture of a
+// layer's class costs at the model's batch, summed in class order, next
+// to the layer's output bytes at that batch and its weight bytes. On a
+// homogeneous package it is the one class's cost; on Het-CB 3x3 (5
+// NVDLA, 4 Shi) it lies strictly between the two.
+func TestCompileExpectedIsMixture(t *testing.T) {
+	db := costdb.New(maestro.DefaultParams())
+	spec := maestro.DefaultDatacenterChiplet()
+	l := workload.GEMM("g", 128, 1280, 1280)
+	sc := workload.NewScenario("s", workload.NewModel("m", 2, []workload.Layer{l}))
+	nvd := db.Cost(l.WithBatch(2), dataflow.NVDLA(), spec)
+	shi := db.Cost(l.WithBatch(2), dataflow.ShiDianNao(), spec)
+
+	lat, e, out, weights := Compile(db, mcm.Simba(3, 3, dataflow.NVDLA(), spec), &sc, DefaultOptions()).Expected()
+	if lat[0][0] != nvd.ComputeSeconds || e[0][0] != nvd.EnergyPJ {
+		t.Errorf("homogeneous expectation (%v, %v) != pure NVDLA cost (%v, %v)", lat[0][0], e[0][0], nvd.ComputeSeconds, nvd.EnergyPJ)
+	}
+	if want := float64(l.WithBatch(2).OutputBytes()); out[0][0] != want {
+		t.Errorf("output bytes %v, want %v", out[0][0], want)
+	}
+	if want := float64(l.WeightBytes()); weights[0][0] != want {
+		t.Errorf("weight bytes %v, want %v", weights[0][0], want)
+	}
+
+	lat, e, _, _ = Compile(db, mcm.HetCB(3, 3, spec), &sc, DefaultOptions()).Expected()
+	if want := 5.0/9*nvd.ComputeSeconds + 4.0/9*shi.ComputeSeconds; lat[0][0] != want {
+		t.Errorf("Het-CB expected latency %v, want %v", lat[0][0], want)
+	}
+	if want := 5.0/9*nvd.EnergyPJ + 4.0/9*shi.EnergyPJ; e[0][0] != want {
+		t.Errorf("Het-CB expected energy %v, want %v", e[0][0], want)
+	}
+	lo, hi := min(nvd.ComputeSeconds, shi.ComputeSeconds), max(nvd.ComputeSeconds, shi.ComputeSeconds)
+	if lat[0][0] <= lo || lat[0][0] >= hi {
+		t.Errorf("expectation %v outside (%v, %v)", lat[0][0], lo, hi)
+	}
+}
+
+// A package that mixes chiplet specs under one dataflow has one class
+// per (dataflow, spec) pair, and the expectation weighs each class by its
+// own share and prices it with its own spec. Here three of the five
+// NVDLA chiplets of Het-CB 3x3 get the edge spec: the NVDLA cost is no
+// longer the first NVDLA chiplet's spec at a 5/9 share.
+func TestCompileExpectedMixedSpecsUnderOneDataflow(t *testing.T) {
+	db := costdb.New(maestro.DefaultParams())
+	dc, edge := maestro.DefaultDatacenterChiplet(), maestro.DefaultEdgeChiplet()
+	pkg := mcm.HetCB(3, 3, dc)
+	var nvdla []int
+	for id, ch := range pkg.Chiplets {
+		if ch.Dataflow.Name == dataflow.NVDLA().Name {
+			nvdla = append(nvdla, id)
+		}
+	}
+	if len(nvdla) != 5 || nvdla[0] != 0 {
+		t.Fatalf("Het-CB 3x3 NVDLA chiplets %v, want five starting at 0", nvdla)
+	}
+	for _, id := range nvdla[2:] {
+		pkg.Chiplets[id].Spec = edge
+	}
+	l := workload.Conv("c", 64, 64, 58, 58, 3, 1)
+	sc := workload.NewScenario("s", workload.NewModel("m", 1, []workload.Layer{l}))
+	nvdDC := db.Cost(l, dataflow.NVDLA(), dc)
+	shi := db.Cost(l, dataflow.ShiDianNao(), dc)
+	nvdEdge := db.Cost(l, dataflow.NVDLA(), edge)
+
+	// Classes in first-appearance order: NVDLA/datacenter (chiplets 0
+	// and 2), Shi/datacenter (4 chiplets), NVDLA/edge (3 chiplets).
+	lat, e, _, _ := Compile(db, pkg, &sc, DefaultOptions()).Expected()
+	wantLat := 2.0/9*nvdDC.ComputeSeconds + 4.0/9*shi.ComputeSeconds + 3.0/9*nvdEdge.ComputeSeconds
+	wantE := 2.0/9*nvdDC.EnergyPJ + 4.0/9*shi.EnergyPJ + 3.0/9*nvdEdge.EnergyPJ
+	if lat[0][0] != wantLat || e[0][0] != wantE {
+		t.Errorf("expected (%v, %v), want (%v, %v)", lat[0][0], e[0][0], wantLat, wantE)
+	}
+	firstSpec := 5.0/9*nvdDC.ComputeSeconds + 4.0/9*shi.ComputeSeconds
+	if lat[0][0] == firstSpec {
+		t.Errorf("expected latency %v prices every NVDLA chiplet with the first one's spec", lat[0][0])
+	}
 }

@@ -8,7 +8,9 @@
 package eval
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"example.com/scar/internal/mcm"
@@ -97,32 +99,45 @@ func (s *Schedule) AllSegments() []Segment {
 }
 
 // Validate checks the schedule against Theorems 1-2 and the mapping
-// constraints: exact partition of the scenario's layers, per-model
-// dependency order across windows, and chiplet IDs within range.
+// constraints: the windows' segments exactly partition the scenario's
+// layers, each model's layers run in dependency order across and within
+// windows, and every chiplet ID is within range. Windows are read in
+// order and each window's segments by model, then by first layer; a
+// per-model cursor holds the model's next unplaced layer, and every
+// segment must start at its model's cursor. That rejects a gap, an
+// overlap and a reordering alike, and at the end every cursor must have
+// reached its model's layer count.
 func (s *Schedule) Validate(sc *workload.Scenario, m *mcm.MCM) error {
-	var parts [][]workload.LayerRef
+	next := make([]int, len(sc.Models))
+	var segs []Segment
 	for wi, w := range s.Windows {
-		var winRefs []workload.LayerRef
-		// Per-model, segments execute in layer order within a window.
-		for _, mi := range w.Models() {
-			segs := w.ModelSegments(mi)
-			for _, seg := range segs {
-				if seg.First > seg.Last {
-					return fmt.Errorf("eval: window %d segment %v has inverted range", wi, seg)
-				}
-				if seg.Chiplet < 0 || seg.Chiplet >= m.NumChiplets() {
-					return fmt.Errorf("eval: window %d segment %v references chiplet outside MCM", wi, seg)
-				}
-				winRefs = append(winRefs, seg.Refs()...)
+		segs = append(segs[:0], w.Segments...)
+		slices.SortFunc(segs, func(a, b Segment) int {
+			if c := cmp.Compare(a.Model, b.Model); c != 0 {
+				return c
 			}
+			return cmp.Compare(a.First, b.First)
+		})
+		for _, seg := range segs {
+			switch {
+			case seg.First > seg.Last:
+				return fmt.Errorf("eval: window %d segment %v has inverted range", wi, seg)
+			case seg.Chiplet < 0 || seg.Chiplet >= m.NumChiplets():
+				return fmt.Errorf("eval: window %d segment %v references chiplet outside MCM", wi, seg)
+			case seg.Model < 0 || seg.Model >= len(sc.Models):
+				return fmt.Errorf("eval: window %d segment %v references an unknown model", wi, seg)
+			case seg.First != next[seg.Model]:
+				return fmt.Errorf("eval: window %d segment %v does not start at model %d's next layer %d", wi, seg, seg.Model, next[seg.Model])
+			case seg.Last >= len(sc.Models[seg.Model].Layers):
+				return fmt.Errorf("eval: window %d segment %v runs past model %d's %d layers", wi, seg, seg.Model, len(sc.Models[seg.Model].Layers))
+			}
+			next[seg.Model] = seg.Last + 1
 		}
-		parts = append(parts, winRefs)
 	}
-	if err := workload.ValidatePartition(sc.AllRefs(), parts); err != nil {
-		return fmt.Errorf("eval: %w", err)
-	}
-	if err := workload.ValidateModelOrder(parts); err != nil {
-		return fmt.Errorf("eval: %w", err)
+	for mi, model := range sc.Models {
+		if next[mi] != len(model.Layers) {
+			return fmt.Errorf("eval: model %d layer %d is not covered by any window", mi, next[mi])
+		}
 	}
 	return nil
 }

@@ -1,10 +1,89 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// This file holds the map-based check of Theorems 1 and 2, kept as a
+// test-only oracle: a set of segments must exactly partition the layers
+// of its time window, and the set of time windows must exactly partition
+// the layers of the scenario. Both reduce to "cover and disjoint" over
+// LayerRef sets, plus the dependency requirement that each model's layers
+// appear in order. eval.Schedule.Validate checks the same conditions
+// with per-model cursors; schedule_validate_test.go compares the two.
+
+// RefSet is a set of layer references.
+type RefSet map[LayerRef]struct{}
+
+// NewRefSet builds a set from a slice of refs.
+func NewRefSet(refs []LayerRef) RefSet {
+	s := make(RefSet, len(refs))
+	for _, r := range refs {
+		s[r] = struct{}{}
+	}
+	return s
+}
+
+// Contains reports membership.
+func (s RefSet) Contains(r LayerRef) bool {
+	_, ok := s[r]
+	return ok
+}
+
+// ValidatePartition checks the cover-and-disjoint condition shared by
+// Theorems 1 and 2: the parts must be pairwise disjoint and their union
+// must equal universe. It returns a descriptive error on the first
+// violation found.
+func ValidatePartition(universe []LayerRef, parts [][]LayerRef) error {
+	want := NewRefSet(universe)
+	seen := make(RefSet, len(universe))
+	for pi, part := range parts {
+		for _, r := range part {
+			if !want.Contains(r) {
+				return fmt.Errorf("workload: part %d contains %v which is outside the universe", pi, r)
+			}
+			if seen.Contains(r) {
+				return fmt.Errorf("workload: %v appears in more than one part (part %d)", r, pi)
+			}
+			seen[r] = struct{}{}
+		}
+	}
+	if len(seen) != len(want) {
+		for r := range want {
+			if !seen.Contains(r) {
+				return fmt.Errorf("workload: %v is not covered by any part", r)
+			}
+		}
+	}
+	return nil
+}
+
+// ValidateModelOrder checks that within the concatenation of parts (in part
+// order), each model's layer indices appear in strictly increasing order
+// and form a contiguous prefix-to-suffix chain. This encodes the layer
+// dependency constraint: a model's layer j may only run after layer j-1.
+func ValidateModelOrder(parts [][]LayerRef) error {
+	next := map[int]int{} // model -> expected next index
+	first := map[int]int{}
+	for pi, part := range parts {
+		for _, r := range part {
+			exp, ok := next[r.Model]
+			if !ok {
+				first[r.Model] = r.Index
+				next[r.Model] = r.Index + 1
+				continue
+			}
+			if r.Index != exp {
+				return fmt.Errorf("workload: model %d layer %d out of order in part %d (expected %d)", r.Model, r.Index, pi, exp)
+			}
+			next[r.Model] = exp + 1
+		}
+	}
+	return nil
+}
 
 func refs(model int, from, to int) []LayerRef {
 	out := make([]LayerRef, 0, to-from)
@@ -57,28 +136,6 @@ func TestValidateModelOrder(t *testing.T) {
 	bad := [][]LayerRef{refs(0, 2, 3), refs(0, 0, 2)} // layer 2 before 0,1
 	if err := ValidateModelOrder(bad); err == nil {
 		t.Error("dependency-violating order accepted")
-	}
-}
-
-func TestContiguousRuns(t *testing.T) {
-	in := []LayerRef{{0, 0}, {0, 1}, {0, 3}, {1, 5}, {1, 6}}
-	runs := ContiguousRuns(in)
-	if len(runs) != 3 {
-		t.Fatalf("runs = %d, want 3 (got %v)", len(runs), runs)
-	}
-	if len(runs[0]) != 2 || len(runs[1]) != 1 || len(runs[2]) != 2 {
-		t.Errorf("run sizes = %d,%d,%d; want 2,1,2", len(runs[0]), len(runs[1]), len(runs[2]))
-	}
-}
-
-func TestRefSetSorted(t *testing.T) {
-	s := NewRefSet([]LayerRef{{1, 2}, {0, 1}, {1, 0}, {0, 0}})
-	sorted := s.Sorted()
-	want := []LayerRef{{0, 0}, {0, 1}, {1, 0}, {1, 2}}
-	for i, r := range sorted {
-		if r != want[i] {
-			t.Fatalf("sorted[%d] = %v, want %v", i, r, want[i])
-		}
 	}
 }
 
