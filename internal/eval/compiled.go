@@ -630,7 +630,9 @@ func (c *Compiled) NewStageTable() *StageTable { return &StageTable{c: c} }
 func (t *StageTable) Reset(slots, crossFlows, offFlows int) {
 	t.gen++
 	if n := slots * len(t.c.classOf); n > len(t.entries) {
-		t.entries = append(t.entries, make([]stageEntry, n-len(t.entries))...)
+		// Every entry is stale after the stamp advances, so nothing is
+		// copied over.
+		t.entries = make([]stageEntry, max(n, 2*len(t.entries)))
 	}
 	t.nopC, t.offC = t.c.Factors(crossFlows, offFlows)
 }
