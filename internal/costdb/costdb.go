@@ -24,13 +24,14 @@ import (
 // what makes the offline database practical; dataflows are keyed by
 // their parameters, not their name, for the same reason. The spec's
 // float fields are held as their bits, so the key hashes and compares
-// as one block of memory.
+// as one block of memory, and the one mapping parameter the style reads
+// is kept, so that block stays within 128 bytes.
 type key struct {
 	op                   workload.OpType
 	n, k, c, y, x, r, s  int
 	stride, bytesPerElem int
 	style                dataflow.Style
-	atomicC, maxMaps     int
+	mapping              int // AtomicC under WeightStationary, MaxMaps otherwise
 	pes                  int
 	l2                   int64
 	noc, clock           uint64
@@ -38,9 +39,12 @@ type key struct {
 
 func makeKey(l workload.Layer, df dataflow.Dataflow, spec maestro.Chiplet) key {
 	k := key{
-		style: df.Style, atomicC: df.AtomicC, maxMaps: df.MaxMaps,
+		style: df.Style, mapping: df.MaxMaps,
 		pes: spec.NumPEs, l2: spec.L2Bytes,
 		noc: math.Float64bits(spec.NoCBandwidth), clock: math.Float64bits(spec.ClockHz),
+	}
+	if df.Style == dataflow.WeightStationary {
+		k.mapping = df.AtomicC
 	}
 	k.setShape(&l, l.N)
 	return k
@@ -50,6 +54,15 @@ func makeKey(l workload.Layer, df dataflow.Dataflow, spec maestro.Chiplet) key {
 func (k *key) setShape(l *workload.Layer, n int) {
 	k.op, k.n, k.k, k.c, k.y, k.x, k.r, k.s = l.Type, n, l.K, l.C, l.Y, l.X, l.R, l.S
 	k.stride, k.bytesPerElem = l.Stride, l.BytesPerElem
+}
+
+// dataflow returns a dataflow that keys like the one the key was made
+// from.
+func (k key) dataflow() dataflow.Dataflow {
+	if k.style == dataflow.WeightStationary {
+		return dataflow.Dataflow{Style: k.style, AtomicC: k.mapping}
+	}
+	return dataflow.Dataflow{Style: k.style, MaxMaps: k.mapping}
 }
 
 // spec returns the chiplet spec the key was made from.

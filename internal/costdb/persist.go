@@ -29,8 +29,7 @@ type savedEntry struct {
 	Op                   workload.OpType
 	N, K, C, Y, X, R, S  int
 	Stride, BytesPerElem int
-	Style                dataflow.Style
-	AtomicC, MaxMaps     int
+	Dataflow             dataflow.Dataflow
 	Chiplet              maestro.Chiplet
 	Result               maestro.Result
 }
@@ -54,9 +53,8 @@ func (db *DB) Save(w io.Writer) error {
 		out.Entries = append(out.Entries, savedEntry{
 			Op: k.op, N: k.n, K: k.k, C: k.c, Y: k.y, X: k.x, R: k.r, S: k.s,
 			Stride: k.stride, BytesPerElem: k.bytesPerElem,
-			Style: k.style, AtomicC: k.atomicC, MaxMaps: k.maxMaps,
-			Chiplet: k.spec(),
-			Result:  r,
+			Dataflow: k.dataflow(), Chiplet: k.spec(),
+			Result: r,
 		})
 	}
 	db.mu.RUnlock()
@@ -83,8 +81,7 @@ func (db *DB) Load(r io.Reader) error {
 			Type: e.Op, N: e.N, K: e.K, C: e.C, Y: e.Y, X: e.X, R: e.R, S: e.S,
 			Stride: e.Stride, BytesPerElem: e.BytesPerElem,
 		}
-		df := dataflow.Dataflow{Style: e.Style, AtomicC: e.AtomicC, MaxMaps: e.MaxMaps}
-		db.cache[makeKey(l, df, e.Chiplet)] = e.Result
+		db.cache[makeKey(l, e.Dataflow, e.Chiplet)] = e.Result
 	}
 	db.mu.Unlock()
 	return nil
