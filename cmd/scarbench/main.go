@@ -21,6 +21,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,6 +33,7 @@ import (
 	"time"
 
 	"example.com/scar/internal/core"
+	"example.com/scar/internal/costdb"
 	"example.com/scar/internal/experiments"
 	"example.com/scar/internal/maestro"
 )
@@ -237,11 +239,13 @@ func realMain() int {
 
 	if *costdbPath != "" {
 		loaded, err := suite.DB.LoadFile(*costdbPath)
-		if err != nil {
+		switch {
+		case errors.Is(err, costdb.ErrStaleSnapshot):
+			fmt.Fprintf(os.Stderr, "scarbench: -costdb %v; starting cold and overwriting it on save\n", err)
+		case err != nil:
 			fmt.Fprintf(os.Stderr, "scarbench: -costdb %v\n", err)
 			return 1
-		}
-		if loaded {
+		case loaded:
 			fmt.Printf("cost database loaded from %s (%d entries)\n", *costdbPath, suite.DB.Size())
 		}
 	}

@@ -167,11 +167,13 @@ func realMain() int {
 	db := costdb.New(maestro.DefaultParams())
 	if *costdbPath != "" {
 		loaded, err := db.LoadFile(*costdbPath)
-		if err != nil {
+		switch {
+		case errors.Is(err, costdb.ErrStaleSnapshot):
+			log.Warn("cost database snapshot is stale; starting cold and overwriting it on shutdown", "path", *costdbPath, "err", err)
+		case err != nil:
 			log.Error("cost database load failed", "path", *costdbPath, "err", err)
 			return 1
-		}
-		if loaded {
+		case loaded:
 			log.Info("cost database loaded", "path", *costdbPath, "entries", db.Size())
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 
 	"example.com/scar/internal/eval"
@@ -78,81 +79,96 @@ func buildEvoGenome(active []int, ranges []layerRange, allocs []int, chiplets in
 	return g
 }
 
+// decodeBuf is decode's reusable state: one per pool worker, so a warm
+// decode allocates nothing. The segments decode returns live in segs
+// until the next call.
+type decodeBuf struct {
+	used []uint64 // bitset of the chiplets taken, laid out as next's rows
+	ends []int
+	path []int
+	segs []eval.Segment
+}
+
 // decode turns a genome into window segments, or ok=false when the
-// mapping is infeasible (occupied root or dead-end path).
-func (g evoGenome) decode(genes []int, m intGraph) ([]eval.Segment, bool) {
-	used := make([]bool, m.n)
-	var segs []eval.Segment
-	var ends []int
+// mapping is infeasible (occupied root or dead-end path). next is the
+// package's adjacency as successor bitsets (see successors); the
+// segments are buf's and valid until its next use.
+//
+//scar:hotpath
+func (g evoGenome) decode(genes []int, next [][]uint64, buf *decodeBuf) ([]eval.Segment, bool) {
+	w := words(len(next))
+	if cap(buf.used) < w {
+		buf.used = make([]uint64, w) //scar:hotalloc buffer growth: amortized to zero once the worker has decoded on the package
+	}
+	buf.used = buf.used[:w]
+	clear(buf.used)
+	buf.segs = buf.segs[:0]
 	for _, i := range g.order {
 		l := g.ranges[i].numLayers()
 		// Cuts at or past the last layer are dropped and duplicate cuts
 		// collapse: the segment ends are the sorted distinct cuts.
-		ends = ends[:0]
+		ends := buf.ends[:0]
 		for _, v := range genes[g.cutsAt[i]:g.rootAt[i]] {
 			if v < l-1 {
-				ends = append(ends, v)
+				ends = append(ends, v) //scar:hotalloc buffer growth: amortized to zero once the worker has seen the most cut genes
 			}
 		}
 		slices.Sort(ends)
-		ends = append(slices.Compact(ends), l-1)
+		ends = append(slices.Compact(ends), l-1) //scar:hotalloc buffer growth: amortized as above
+		buf.ends = ends
 
-		root := genes[g.rootAt[i]]
-		seed := genes[g.seedAt[i]]
-		path, ok := greedyPath(m, root, len(ends), used, seed)
+		path, ok := greedyPath(next, genes[g.rootAt[i]], len(ends), buf.used, genes[g.seedAt[i]], buf.path)
+		buf.path = path
 		if !ok {
 			return nil, false
 		}
 		plan := modelPlan{model: g.active[i], r: g.ranges[i], ends: ends}
 		for q, c := range path {
-			used[c] = true
-			segs = append(segs, plan.segmentAt(q, c))
+			buf.segs = append(buf.segs, plan.segmentAt(q, c)) //scar:hotalloc buffer growth: amortized to zero once the worker has decoded the largest window
 		}
 	}
-	return segs, true
-}
-
-// intGraph is a minimal adjacency view of the package.
-type intGraph struct {
-	n   int
-	adj [][]bool
+	return buf.segs, true
 }
 
 // greedyPath walks the adjacency from root for length nodes, choosing at
-// each step the unused neighbor ranked by a seed-permuted preference;
-// ok=false on a dead end or occupied root. used is marked along the walk
-// and restored before returning.
-func greedyPath(m intGraph, root, length int, used []bool, seed int) ([]int, bool) {
-	if used[root] {
-		return nil, false
+// each step the unused neighbor ranked by a seed-permuted preference,
+// the lowest chiplet on ties; ok=false on a dead end or occupied root.
+// next holds the adjacency as successor bitsets and used the taken
+// chiplets, laid out as next's rows. On success the path's chiplets are
+// marked in used; on failure used is left as it was. The path is built
+// in path's backing array.
+//
+//scar:hotpath
+func greedyPath(next [][]uint64, root, length int, used []uint64, seed int, path []int) ([]int, bool) {
+	path = path[:0]
+	if used[root>>6]&(1<<(root&63)) != 0 {
+		return path, false
 	}
-	path := make([]int, 1, length)
-	path[0] = root
-	used[root] = true
-	defer func() {
-		for _, c := range path {
-			used[c] = false
-		}
-	}()
+	path = append(path, root) //scar:hotalloc buffer growth: amortized to zero once the caller's buffer has held the longest path
+	used[root>>6] |= 1 << (root & 63)
 	cur := root
 	for len(path) < length {
 		best := -1
 		bestKey := math.MaxInt64
-		for next := 0; next < m.n; next++ {
-			if !m.adj[cur][next] || used[next] {
-				continue
-			}
-			key := (next*131 + seed*31) % 251
-			if key < bestKey || (key == bestKey && next < best) {
-				bestKey = key
-				best = next
+		// Free neighbors come in ascending order, so a strict < keeps
+		// the lowest chiplet among equal keys.
+		for w, row := range next[cur] {
+			for free := row &^ used[w]; free != 0; free &= free - 1 {
+				c := w<<6 | bits.TrailingZeros64(free)
+				if key := (c*131 + seed*31) % 251; key < bestKey {
+					bestKey = key
+					best = c
+				}
 			}
 		}
 		if best < 0 {
-			return nil, false
+			for _, c := range path {
+				used[c>>6] &^= 1 << (c & 63)
+			}
+			return path, false
 		}
-		path = append(path, best)
-		used[best] = true
+		path = append(path, best) //scar:hotalloc buffer growth: amortized as above
+		used[best>>6] |= 1 << (best & 63)
 		cur = best
 	}
 	return path, true
@@ -245,11 +261,11 @@ func (s *Scheduler) searchWindowEvo(r *run, self int, w windowAssignment, seed i
 		ranges[i] = w[mi]
 	}
 
-	graph := intGraph{n: r.m.NumChiplets(), adj: r.adj}
+	buf := &r.workers[self].decode
 	genome := buildEvoGenome(active, ranges, alloc, r.m.NumChiplets())
 	evals := 0
 	fitness := func(genes []int) float64 {
-		segs, ok := genome.decode(genes, graph)
+		segs, ok := genome.decode(genes, r.adjNext, buf)
 		if !ok {
 			return math.Inf(1)
 		}
@@ -259,8 +275,10 @@ func (s *Scheduler) searchWindowEvo(r *run, self int, w windowAssignment, seed i
 	best, _, stopped := evolve(genome.spans, fitness, r.searchStop, mixSeed(seed, 3))
 	var out windowOutcome
 	if best != nil {
-		// best scored below +Inf, so it decodes.
-		out.segs, _ = genome.decode(best, graph)
+		// best scored below +Inf, so it decodes; its segments are the
+		// only ones that outlive the worker's buffer.
+		segs, _ := genome.decode(best, r.adjNext, buf)
+		out.segs = slices.Clone(segs)
 	} else {
 		// GA found nothing feasible: fall back to the tree search.
 		out = s.searchWindow(r, self, w, seed, leaves)

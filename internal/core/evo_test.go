@@ -72,27 +72,33 @@ func TestEvolutionaryDeterministic(t *testing.T) {
 
 func TestEvoDecodeCutHandlingDeterministic(t *testing.T) {
 	pkg := mcm.HetCB(3, 3, maestro.DefaultDatacenterChiplet())
-	m := intGraph{n: pkg.NumChiplets(), adj: pkg.AdjacencyMatrix()}
+	next := successors(pkg.AdjacencyMatrix(), false)
+	var buf decodeBuf
 	// One 6-layer model asking for 4 segments: three cut genes plus a
 	// root gene and a path-seed gene.
-	g := buildEvoGenome([]int{0}, []layerRange{{First: 0, Last: 5}}, []int{4}, m.n)
+	g := buildEvoGenome([]int{0}, []layerRange{{First: 0, Last: 5}}, []int{4}, pkg.NumChiplets())
 	// Duplicate cuts (2, 2) collapse and an out-of-range cut (7 >= L-1)
 	// is dropped, leaving the single real split {2}: two segments.
 	genes := []int{2, 2, 7, 0, 3}
-	first, ok := g.decode(genes, m)
+	first, ok := g.decode(genes, next, &buf)
 	if !ok {
 		t.Fatal("decode rejected a feasible genome")
 	}
+	first = slices.Clone(first)
 	if len(first) != 2 {
 		t.Fatalf("segments = %+v, want 2 (cut set {2})", first)
 	}
 	if first[0].First != 0 || first[0].Last != 2 || first[1].First != 3 || first[1].Last != 5 {
 		t.Errorf("segment bounds = %+v, want [0,2] and [3,5]", first)
 	}
-	// The cut set passes through a map; decoding the same genes must be
-	// bit-identical on every run regardless of iteration order.
+	// Decoding the same genes must be bit-identical on every run, on a
+	// reused buffer as on a fresh one.
 	for i := 0; i < 100; i++ {
-		segs, ok := g.decode(genes, m)
+		b := &buf
+		if i%2 == 1 {
+			b = &decodeBuf{}
+		}
+		segs, ok := g.decode(genes, next, b)
 		if !ok || !reflect.DeepEqual(segs, first) {
 			t.Fatalf("iteration %d: decode diverged: %+v vs %+v", i, segs, first)
 		}
@@ -101,10 +107,11 @@ func TestEvoDecodeCutHandlingDeterministic(t *testing.T) {
 
 func TestGreedyPathProperties(t *testing.T) {
 	pkg := mcm.HetCB(3, 3, maestro.DefaultDatacenterChiplet())
-	g := intGraph{n: pkg.NumChiplets(), adj: pkg.AdjacencyMatrix()}
-	used := make([]bool, g.n)
+	adj := pkg.AdjacencyMatrix()
+	next := successors(adj, false)
+	used := make([]uint64, words(len(adj)))
 	for seed := 0; seed < 16; seed++ {
-		path, ok := greedyPath(g, 0, 4, used, seed)
+		path, ok := greedyPath(next, 0, 4, used, seed, nil)
 		if !ok {
 			t.Fatalf("seed %d: no path of length 4 from corner", seed)
 		}
@@ -117,28 +124,131 @@ func TestGreedyPathProperties(t *testing.T) {
 				t.Fatalf("seed %d: revisits chiplet %d", seed, c)
 			}
 			seen[c] = true
-			if i > 0 && !g.adj[path[i-1]][c] {
+			if i > 0 && !adj[path[i-1]][c] {
 				t.Fatalf("seed %d: non-adjacent step %d->%d", seed, path[i-1], c)
 			}
+			if used[c>>6]&(1<<(c&63)) == 0 {
+				t.Fatalf("seed %d: path chiplet %d left unmarked", seed, c)
+			}
 		}
+		clear(used)
 	}
-	// Occupied root fails.
-	used[0] = true
-	if _, ok := greedyPath(g, 0, 2, used, 0); ok {
+	// Occupied root fails and leaves used as it was.
+	used[0] = 1
+	if _, ok := greedyPath(next, 0, 2, used, 0, nil); ok {
 		t.Error("path from occupied root accepted")
+	}
+	if used[0] != 1 {
+		t.Errorf("failed walk changed used to %b", used[0])
 	}
 }
 
 func TestGreedyPathDeadEnd(t *testing.T) {
 	pkg := mcm.Simba(2, 2, dfNVD(), maestro.DefaultDatacenterChiplet())
-	g := intGraph{n: 4, adj: pkg.AdjacencyMatrix()}
-	used := make([]bool, 4)
-	used[1] = true
-	used[2] = true
+	next := successors(pkg.AdjacencyMatrix(), false)
+	used := []uint64{1<<1 | 1<<2}
 	// From chiplet 0 both neighbors (1, 2) are used: length-2 paths are
-	// impossible.
-	if _, ok := greedyPath(g, 0, 2, used, 3); ok {
+	// impossible, and the failed walk unmarks its root.
+	if _, ok := greedyPath(next, 0, 2, used, 3, nil); ok {
 		t.Error("dead-end path accepted")
+	}
+	if used[0] != 1<<1|1<<2 {
+		t.Errorf("failed walk changed used to %b", used[0])
+	}
+}
+
+// Property: greedyPath over successor bitsets walks the same path as
+// the adjacency-matrix scan it replaced, from random roots, seeds,
+// lengths and used sets, on packages of one and of two bitset words and
+// on an irregular ring. A successful walk leaves exactly its path marked
+// in used; a failed one leaves used as it was.
+func TestGreedyPathMatchesReference(t *testing.T) {
+	spec := maestro.DefaultDatacenterChiplet()
+	ring, err := goldenRing(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range []*mcm.MCM{
+		mcm.HetCB(3, 3, spec),
+		mcm.HetCross(spec),
+		mcm.HetSides(9, 9, spec),
+		ring,
+	} {
+		t.Run(pkg.Name, func(t *testing.T) {
+			adj := pkg.AdjacencyMatrix()
+			n := len(adj)
+			next := successors(adj, false)
+			rng := rand.New(rand.NewSource(int64(n)))
+			refUsed := make([]bool, n)
+			used := make([]uint64, words(n))
+			var path []int
+			outcomes := map[bool]int{}
+			for trial := 0; trial < 3000; trial++ {
+				clear(used)
+				density := rng.Float64() / 2
+				for c := range refUsed {
+					refUsed[c] = rng.Float64() < density
+					if refUsed[c] {
+						used[c>>6] |= 1 << (c & 63)
+					}
+				}
+				before := slices.Clone(used)
+				// Half the walks are short, so most of those succeed.
+				root, length, seed := rng.Intn(n), 1+rng.Intn(n), rng.Intn(256)
+				if trial%2 == 0 {
+					length = 1 + rng.Intn(min(n, 8))
+				}
+				want, wantOK := greedyPathReference(adj, root, length, refUsed, seed)
+				var ok bool
+				path, ok = greedyPath(next, root, length, used, seed, path)
+				if ok != wantOK || (ok && !slices.Equal(path, want)) {
+					t.Fatalf("trial %d (root %d, length %d, seed %d): got %v %v, want %v %v",
+						trial, root, length, seed, path, ok, want, wantOK)
+				}
+				outcomes[ok]++
+				if ok {
+					for _, c := range path {
+						before[c>>6] |= 1 << (c & 63)
+					}
+				}
+				if !slices.Equal(used, before) {
+					t.Fatalf("trial %d: used = %b after the walk, want %b", trial, used, before)
+				}
+			}
+			if outcomes[true] < 300 || outcomes[false] < 300 {
+				t.Fatalf("%d walks succeeded and %d failed, want at least 300 of each", outcomes[true], outcomes[false])
+			}
+		})
+	}
+}
+
+// A warm decode allocates nothing, on feasible and infeasible genomes
+// alike: every buffer it writes is the worker's.
+func TestDecodeZeroAllocs(t *testing.T) {
+	pkg := mcm.HetCross(maestro.DefaultEdgeChiplet())
+	next := successors(pkg.AdjacencyMatrix(), false)
+	g := buildEvoGenome([]int{0, 1, 2},
+		[]layerRange{{First: 0, Last: 40}, {First: 3, Last: 20}, {First: 0, Last: 9}},
+		[]int{6, 4, 3}, pkg.NumChiplets())
+	rng := rand.New(rand.NewSource(1))
+	var buf decodeBuf
+	seen := map[bool]int{}
+	for trial := 0; trial < 200 && (seen[true] < 5 || seen[false] < 5); trial++ {
+		genes := make([]int, len(g.spans))
+		for j, span := range g.spans {
+			genes[j] = rng.Intn(span)
+		}
+		_, ok := g.decode(genes, next, &buf)
+		if seen[ok] >= 5 {
+			continue
+		}
+		seen[ok]++
+		if n := testing.AllocsPerRun(50, func() { g.decode(genes, next, &buf) }); n != 0 {
+			t.Errorf("decode (feasible %v) made %v allocs/op on a warm buffer, want 0", ok, n)
+		}
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("sampled genomes cover feasible %d and infeasible %d times, want both", seen[true], seen[false])
 	}
 }
 

@@ -166,3 +166,44 @@ generations:
 	}
 	return res, nil
 }
+
+// greedyPathReference is greedyPath as a scan of the adjacency matrix,
+// the test-only oracle of TestGreedyPathMatchesReference: every step
+// tries all chiplets in ascending order, keeping the lowest chiplet among
+// equal keys. used is marked along the walk and restored before
+// returning.
+func greedyPathReference(adj [][]bool, root, length int, used []bool, seed int) ([]int, bool) {
+	if used[root] {
+		return nil, false
+	}
+	path := make([]int, 1, length)
+	path[0] = root
+	used[root] = true
+	defer func() {
+		for _, c := range path {
+			used[c] = false
+		}
+	}()
+	cur := root
+	for len(path) < length {
+		best := -1
+		bestKey := math.MaxInt64
+		for next := 0; next < len(adj); next++ {
+			if !adj[cur][next] || used[next] {
+				continue
+			}
+			key := (next*131 + seed*31) % 251
+			if key < bestKey || (key == bestKey && next < best) {
+				bestKey = key
+				best = next
+			}
+		}
+		if best < 0 {
+			return nil, false
+		}
+		path = append(path, best)
+		used[best] = true
+		cur = best
+	}
+	return path, true
+}

@@ -95,9 +95,10 @@ type CandidateMetrics struct {
 // memo-key buffer, one random stream that every task and every SEG call
 // on the worker reseeds with its own derived seed (a reseeded stream is a
 // fresh one), the root-tuple buffers every tree search on the worker
-// reuses, the count of leaf evaluations the worker was asked for (it
-// paces the context poll) and the count of real leaf evaluations it made
-// (a full WindowEval, or a tree-search leaf combined from its passes).
+// reuses, the GA's decode buffers, the count of leaf evaluations the
+// worker was asked for (it paces the context poll) and the count of real
+// leaf evaluations it made (a full WindowEval, or a tree-search leaf
+// combined from its passes).
 // The pool guarantees no two concurrently-running tasks share a worker
 // id, so access is race-free without locks.
 type workerState struct {
@@ -106,6 +107,7 @@ type workerState struct {
 	key       []byte
 	rng       stream
 	roots     tupleBuf
+	decode    decodeBuf
 	leafEvals int
 	calls     int
 }
@@ -129,6 +131,7 @@ type run struct {
 	weightB [][]float64 // per-layer weight bytes
 	adj     [][]bool
 	next    [][]uint64 // per-chiplet tree-search successor bitsets (see successors)
+	adjNext [][]uint64 // the GA's: interposer neighbors even under FreePlacement
 	pool    *pool
 	workers []workerState
 	memo    *windowMemo
@@ -184,6 +187,10 @@ func (s *Scheduler) newRun(ctx context.Context, req *Request, opts Options) *run
 	}
 	r.expLat, r.expE, r.outB, r.weightB = comp.Expected()
 	r.next = successors(r.adj, opts.FreePlacement)
+	r.adjNext = r.next
+	if opts.FreePlacement {
+		r.adjNext = successors(r.adj, false)
+	}
 	r.deadline, _ = ctx.Deadline()
 	r.workers = make([]workerState, r.pool.NWorkers())
 	for i := range r.workers {

@@ -150,8 +150,9 @@ func (db *DB) Cost(l workload.Layer, df dataflow.Dataflow, spec maestro.Chiplet)
 
 // Column sets out[i] to Cost(layers[i].WithBatch(bp), df, spec) for every
 // layer, under one read lock for all the layers already cached; the
-// others go through Cost. Each layer counts as one lookup, as through
-// Cost.
+// others go through Cost. Each layer given counts as one lookup, as
+// through Cost: a caller that passes one layer per distinct shape, as
+// eval.Compile does, counts one lookup per shape.
 func (db *DB) Column(layers []workload.Layer, bp int, df dataflow.Dataflow, spec maestro.Chiplet, out []maestro.Result) {
 	var missed []int
 	k := makeKey(workload.Layer{}, df, spec)

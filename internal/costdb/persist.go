@@ -2,6 +2,7 @@ package costdb
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -22,6 +23,11 @@ import (
 // and two chiplet fields, so its entries cannot be told apart by clock
 // or on-chip bandwidth and are rejected.
 const persistVersion = 2
+
+// ErrStaleSnapshot marks a snapshot that decodes but was written under
+// another on-disk version or cost-model calibration. Its entries cannot
+// be used; a caller can start cold and overwrite it on its next save.
+var ErrStaleSnapshot = errors.New("stale snapshot")
 
 // savedEntry mirrors the unexported cache key plus its result with
 // exported fields, as gob requires.
@@ -61,19 +67,21 @@ func (db *DB) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(out)
 }
 
-// Load merges a previously Saved stream into the database. Entries
-// computed under different calibration constants are rejected — a stale
-// snapshot must not silently poison the cost model.
+// Load merges a previously Saved stream into the database. A snapshot of
+// another version, or with entries computed under different calibration
+// constants, is rejected whole with an error wrapping ErrStaleSnapshot —
+// a stale snapshot must not silently poison the cost model. An
+// undecodable stream is a plain error.
 func (db *DB) Load(r io.Reader) error {
 	var in savedDB
 	if err := gob.NewDecoder(r).Decode(&in); err != nil {
 		return fmt.Errorf("costdb: load: %w", err)
 	}
 	if in.Version != persistVersion {
-		return fmt.Errorf("costdb: load: snapshot version %d, want %d", in.Version, persistVersion)
+		return fmt.Errorf("costdb: load: %w: version %d, want %d", ErrStaleSnapshot, in.Version, persistVersion)
 	}
 	if in.Params != db.params {
-		return fmt.Errorf("costdb: load: snapshot calibrated with %+v, database uses %+v", in.Params, db.params)
+		return fmt.Errorf("costdb: load: %w: calibrated with %+v, database uses %+v", ErrStaleSnapshot, in.Params, db.params)
 	}
 	db.mu.Lock()
 	for _, e := range in.Entries {

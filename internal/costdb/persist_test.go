@@ -3,6 +3,7 @@ package costdb
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"testing"
 
 	"example.com/scar/internal/dataflow"
@@ -79,8 +80,8 @@ func TestLoadRejectsWrongCalibration(t *testing.T) {
 	params := maestro.DefaultParams()
 	params.MACEnergyPJ *= 2
 	other := New(params)
-	if err := other.Load(&buf); err == nil {
-		t.Fatal("snapshot with different calibration constants accepted")
+	if err := other.Load(&buf); !errors.Is(err, ErrStaleSnapshot) {
+		t.Fatalf("snapshot with different calibration constants: err %v, want ErrStaleSnapshot", err)
 	}
 	if other.Size() != 0 {
 		t.Errorf("rejected load left %d entries", other.Size())
@@ -89,8 +90,12 @@ func TestLoadRejectsWrongCalibration(t *testing.T) {
 
 func TestLoadRejectsGarbage(t *testing.T) {
 	db := New(maestro.DefaultParams())
-	if err := db.Load(bytes.NewReader([]byte("not a gob stream"))); err == nil {
+	err := db.Load(bytes.NewReader([]byte("not a gob stream")))
+	if err == nil {
 		t.Fatal("garbage accepted")
+	}
+	if errors.Is(err, ErrStaleSnapshot) {
+		t.Errorf("undecodable stream reported as stale: %v", err)
 	}
 }
 
@@ -103,7 +108,7 @@ func TestLoadRejectsVersion1(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := New(maestro.DefaultParams())
-	if err := db.Load(&buf); err == nil {
-		t.Fatal("version-1 snapshot accepted")
+	if err := db.Load(&buf); !errors.Is(err, ErrStaleSnapshot) {
+		t.Fatalf("version-1 snapshot: err %v, want ErrStaleSnapshot", err)
 	}
 }

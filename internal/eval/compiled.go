@@ -92,8 +92,10 @@ type Compiled struct {
 // Compile builds the evaluation session. Table entries are filled through
 // the cost database, so identical layer shapes across models, scenarios
 // and sessions are analyzed exactly once (the database's singleflight
-// also dedups concurrent compiles). Compile forces the MCM's lazy network
-// tables, so the session is safe to share across goroutines immediately.
+// also dedups concurrent compiles); within a model, each distinct shape
+// is looked up once per class and mini-batch. Compile forces the MCM's
+// lazy network tables, so the session is safe to share across goroutines
+// immediately.
 func Compile(db *costdb.DB, m *mcm.MCM, sc *workload.Scenario, opts Options) *Compiled {
 	c := &Compiled{m: m, sc: sc, opts: opts}
 
@@ -152,40 +154,46 @@ func Compile(db *costdb.DB, m *mcm.MCM, sc *workload.Scenario, opts Options) *Co
 			fit:          make([][]int32, len(c.classes)),
 			costs:        make([][]costPrefix, len(c.classes)),
 		}
+		// Costs, byte counts and fits are per shape: each is worked out
+		// once per distinct shape and read back per layer.
+		shapes, shapeOf := distinctShapes(model.Layers)
+		in, out, weight := make([]int64, len(shapes)), make([]int64, len(shapes)), make([]int64, len(shapes))
+		for si, l := range shapes {
+			l1 := l.WithBatch(1)
+			in[si], out[si], weight[si] = l1.InputBytes(), l1.OutputBytes(), l1.WeightBytes()
+		}
 		expLat, expE := make([]float64, L), make([]float64, L)
 		outBytes, weightBytes := make([]float64, L), make([]float64, L)
-		for li, l := range model.Layers {
-			l1 := l.WithBatch(1)
-			cm.perSampleIn[li] = l1.InputBytes()
-			cm.perSampleOut[li] = l1.OutputBytes()
-			cm.weightPref[li+1] = cm.weightPref[li] + l1.WeightBytes()
-			outBytes[li] = float64(int64(batch) * cm.perSampleOut[li])
-			weightBytes[li] = float64(l1.WeightBytes())
+		for li, si := range shapeOf {
+			cm.perSampleIn[li] = in[si]
+			cm.perSampleOut[li] = out[si]
+			cm.weightPref[li+1] = cm.weightPref[li] + weight[si]
+			outBytes[li] = float64(int64(batch) * out[si])
+			weightBytes[li] = float64(weight[si])
 		}
 		c.expLat[mi], c.expE[mi] = expLat, expE
 		c.outBytes[mi], c.weightBytes[mi] = outBytes, weightBytes
-		col = slices.Grow(col[:0], L)[:L]
+		col = slices.Grow(col[:0], len(shapes))[:len(shapes)]
+		shapeFit := make([]int32, len(shapes))
 		for ci, class := range c.classes {
 			// Mini-batch caps (the residentBatch rule): weights larger
 			// than L2 stream regardless, reserving half the capacity.
 			capacity := float64(class.spec.L2Bytes) * 0.9
-			cm.fit[ci] = make([]int32, L)
-			for li, l := range model.Layers {
-				l1 := l.WithBatch(1)
-				act := float64(l1.InputBytes() + l1.OutputBytes())
+			for si := range shapes {
+				act := float64(in[si] + out[si])
 				if act <= 0 {
-					cm.fit[ci][li] = fitUnbounded
+					shapeFit[si] = fitUnbounded
 					continue
 				}
-				avail := capacity - float64(l1.WeightBytes())
+				avail := capacity - float64(weight[si])
 				if avail < capacity/2 {
 					avail = capacity / 2
 				}
-				f := int32(avail / act)
-				if f < 1 {
-					f = 1
-				}
-				cm.fit[ci][li] = f
+				shapeFit[si] = max(int32(avail/act), 1)
+			}
+			cm.fit[ci] = make([]int32, L)
+			for li, si := range shapeOf {
+				cm.fit[ci][li] = shapeFit[si]
 			}
 
 			// Cost prefix columns, but only for reachable mini-batches:
@@ -199,7 +207,7 @@ func Compile(db *costdb.DB, m *mcm.MCM, sc *workload.Scenario, opts Options) *Co
 			need := make([]bool, batch+1)
 			need[1] = true
 			need[batch] = true
-			for _, f := range cm.fit[ci] {
+			for _, f := range shapeFit {
 				if int(f) < batch {
 					need[f] = true
 				}
@@ -217,8 +225,9 @@ func Compile(db *costdb.DB, m *mcm.MCM, sc *workload.Scenario, opts Options) *Co
 					energy:  make([]float64, L+1),
 					spill:   make([]int64, L+1),
 				}
-				db.Column(model.Layers, bp, class.rep, class.spec, col)
-				for li, r := range col {
+				db.Column(shapes, bp, class.rep, class.spec, col)
+				for li, si := range shapeOf {
+					r := &col[si]
 					cp.compute[li+1] = cp.compute[li] + r.ComputeSeconds
 					cp.energy[li+1] = cp.energy[li] + r.EnergyPJ
 					cp.spill[li+1] = cp.spill[li] + r.ExtraDRAMBytes
@@ -233,6 +242,32 @@ func Compile(db *costdb.DB, m *mcm.MCM, sc *workload.Scenario, opts Options) *Co
 		c.models[mi] = cm
 	}
 	return c
+}
+
+// shapeKey is everything of a layer that its cost and its byte counts
+// read, bar the batch: the cost database's layer key without N. Layers
+// that differ only in name or batch share a key.
+type shapeKey struct {
+	op                                 workload.OpType
+	k, c, y, x, r, s, stride, elemSize int
+}
+
+// distinctShapes returns one representative layer per distinct shape, in
+// order of first appearance, and each layer's index into that list.
+func distinctShapes(layers []workload.Layer) (shapes []workload.Layer, shapeOf []int32) {
+	index := make(map[shapeKey]int32)
+	shapeOf = make([]int32, len(layers))
+	for li, l := range layers {
+		k := shapeKey{l.Type, l.K, l.C, l.Y, l.X, l.R, l.S, l.Stride, l.BytesPerElem}
+		si, ok := index[k]
+		if !ok {
+			si = int32(len(shapes))
+			index[k] = si
+			shapes = append(shapes, l)
+		}
+		shapeOf[li] = si
+	}
+	return shapes, shapeOf
 }
 
 // New is Compile under its original constructor name, kept as a plain

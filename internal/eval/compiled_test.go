@@ -444,3 +444,157 @@ func TestCompileExpectedMixedSpecsUnderOneDataflow(t *testing.T) {
 		t.Errorf("expected latency %v prices every NVDLA chiplet with the first one's spec", lat[0][0])
 	}
 }
+
+// perLayerTables builds one model's tables one layer at a time, as
+// Compile did before it grouped layers by shape: every byte count and
+// fit from the layer itself, every cost through db.Cost. It is the
+// oracle of TestCompileMatchesPerLayer.
+func perLayerTables(db *costdb.DB, c *Compiled, model workload.Model) (cm compiledModel, expLat, expE, outBytes, weightBytes []float64) {
+	L, batch := len(model.Layers), max(model.Batch, 1)
+	cm = compiledModel{
+		batch: batch, layers: L,
+		perSampleIn: make([]int64, L), perSampleOut: make([]int64, L), weightPref: make([]int64, L+1),
+		fit: make([][]int32, len(c.classes)), costs: make([][]costPrefix, len(c.classes)),
+	}
+	expLat, expE = make([]float64, L), make([]float64, L)
+	outBytes, weightBytes = make([]float64, L), make([]float64, L)
+	for li, l := range model.Layers {
+		l1 := l.WithBatch(1)
+		cm.perSampleIn[li], cm.perSampleOut[li] = l1.InputBytes(), l1.OutputBytes()
+		cm.weightPref[li+1] = cm.weightPref[li] + l1.WeightBytes()
+		outBytes[li] = float64(l.WithBatch(batch).OutputBytes())
+		weightBytes[li] = float64(l1.WeightBytes())
+	}
+	for ci, class := range c.classes {
+		count := 0
+		for _, have := range c.classOf {
+			if have == ci {
+				count++
+			}
+		}
+		capacity := float64(class.spec.L2Bytes) * 0.9
+		cm.fit[ci] = make([]int32, L)
+		need := map[int]bool{1: true, batch: true}
+		for li, l := range model.Layers {
+			l1 := l.WithBatch(1)
+			act := float64(l1.InputBytes() + l1.OutputBytes())
+			f := fitUnbounded
+			if act > 0 {
+				f = max(int32(max(capacity-float64(l1.WeightBytes()), capacity/2)/act), 1)
+			}
+			cm.fit[ci][li] = f
+			if int(f) < batch {
+				need[int(f)] = true
+			}
+		}
+		cm.costs[ci] = make([]costPrefix, batch)
+		share := float64(count) / float64(len(c.classOf))
+		for bp := range need {
+			cp := costPrefix{compute: make([]float64, L+1), energy: make([]float64, L+1), spill: make([]int64, L+1)}
+			for li, l := range model.Layers {
+				r := db.Cost(l.WithBatch(bp), class.rep, class.spec)
+				cp.compute[li+1] = cp.compute[li] + r.ComputeSeconds
+				cp.energy[li+1] = cp.energy[li] + r.EnergyPJ
+				cp.spill[li+1] = cp.spill[li] + r.ExtraDRAMBytes
+				if bp == batch {
+					expLat[li] += share * r.ComputeSeconds
+					expE[li] += share * r.EnergyPJ
+				}
+			}
+			cm.costs[ci][bp-1] = cp
+		}
+	}
+	return cm, expLat, expE, outBytes, weightBytes
+}
+
+// Compile works each cost, byte count and fit out once per distinct
+// layer shape and reads it back per layer; its tables must be
+// bit-identical to ones built layer by layer. The cases cover layers that
+// share a shape under different names and batches, layers that differ in
+// exactly one shape field (so a shape key missing that field merges
+// them), zero dimensions, and a batch that needs several mini-batch
+// columns.
+func TestCompileMatchesPerLayer(t *testing.T) {
+	base := workload.Conv("base", 16, 32, 20, 20, 3, 1)
+	renamed := func(l workload.Layer, name string, n int) workload.Layer {
+		l.Name, l.N = name, n
+		return l
+	}
+	type tc struct {
+		name    string
+		batch   int
+		layers  []workload.Layer
+		columns int // the least number of mini-batch columns per class
+	}
+	cases := []tc{
+		{name: "name-only duplicates", batch: 4, layers: []workload.Layer{
+			base, workload.GEMM("g", 64, 256, 128), renamed(base, "again", 1), renamed(base, "batched", 8), workload.GEMM("g2", 64, 256, 128),
+		}},
+		{name: "zero dimensions", batch: 2, layers: []workload.Layer{
+			{Name: "empty", Type: workload.OpEltwise},
+			{Name: "conv-zeros", Type: workload.OpConv, K: 8, C: 8, Y: 6, X: 6},
+			{Name: "conv-ones", Type: workload.OpConv, N: 1, K: 8, C: 8, Y: 6, X: 6, R: 1, S: 1, Stride: 1, BytesPerElem: 2},
+			{Name: "gemm-zeros", Type: workload.OpGEMM, K: 16, C: 32, Y: 4},
+			{Name: "empty-again", Type: workload.OpEltwise},
+		}},
+		{name: "several mini-batch columns", batch: 64, columns: 3, layers: []workload.Layer{
+			workload.Conv("c1", 64, 64, 112, 112, 3, 1),
+			workload.Conv("c2", 128, 128, 56, 56, 3, 1),
+			workload.GEMM("fc", 512, 4096, 4096),
+			workload.Conv("c1-again", 64, 64, 112, 112, 3, 1),
+			workload.Eltwise("add", 256, 28, 28),
+		}},
+	}
+	for _, d := range []struct {
+		field string
+		set   func(l *workload.Layer)
+	}{
+		{"Type", func(l *workload.Layer) { l.Type = workload.OpPool }},
+		{"K", func(l *workload.Layer) { l.K = 48 }},
+		{"C", func(l *workload.Layer) { l.C = 24 }},
+		{"Y", func(l *workload.Layer) { l.Y = 24 }},
+		{"X", func(l *workload.Layer) { l.X = 24 }},
+		{"R", func(l *workload.Layer) { l.R = 5 }},
+		{"S", func(l *workload.Layer) { l.S = 5 }},
+		{"Stride", func(l *workload.Layer) { l.Stride = 2 }},
+		{"BytesPerElem", func(l *workload.Layer) { l.BytesPerElem = 4 }},
+	} {
+		other := renamed(base, "other", 1)
+		d.set(&other)
+		cases = append(cases, tc{name: "differs in " + d.field, batch: 3, layers: []workload.Layer{base, other, renamed(base, "base-again", 1)}})
+	}
+	dc := maestro.DefaultDatacenterChiplet()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db := costdb.New(maestro.DefaultParams())
+			sc := workload.NewScenario("s", workload.NewModel("m", c.batch, c.layers))
+			for _, pkg := range []*mcm.MCM{mcm.HetCB(3, 3, dc), mcm.HetSides(3, 3, maestro.DefaultEdgeChiplet())} {
+				comp := Compile(db, pkg, &sc, DefaultOptions())
+				want, wantLat, wantE, wantOut, wantWeight := perLayerTables(db, comp, sc.Models[0])
+				if !reflect.DeepEqual(comp.models[0], want) {
+					t.Errorf("%s: compiled model tables differ from the per-layer ones:\n got %+v\nwant %+v", pkg.Name, comp.models[0], want)
+				}
+				lat, e, out, weight := comp.Expected()
+				for name, pair := range map[string][2][]float64{
+					"expected latency": {lat[0], wantLat}, "expected energy": {e[0], wantE},
+					"output bytes": {out[0], wantOut}, "weight bytes": {weight[0], wantWeight},
+				} {
+					if !reflect.DeepEqual(pair[0], pair[1]) {
+						t.Errorf("%s: %s %v, want %v", pkg.Name, name, pair[0], pair[1])
+					}
+				}
+				for ci, cols := range comp.models[0].costs {
+					built := 0
+					for _, col := range cols {
+						if col.compute != nil {
+							built++
+						}
+					}
+					if built < c.columns {
+						t.Errorf("%s class %d: %d mini-batch columns, want at least %d", pkg.Name, ci, built, c.columns)
+					}
+				}
+			}
+		})
+	}
+}
